@@ -172,7 +172,10 @@ class DictionaryState:
                 raise SnapshotError(f"line {ln}: duplicate id {id_}")
             if basis in state._entries:
                 raise SnapshotError(f"line {ln}: duplicate basis")
-            state._check_basis(basis)
+            try:
+                state._check_basis(basis)
+            except ValueError as exc:
+                raise SnapshotError(f"line {ln}: {exc}") from None
             seen_ids.add(id_)
             state._entries[basis] = [id_, now]
             state._reverse[id_] = basis

@@ -18,7 +18,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isinf, isnan
+from math import inf, isclose, isfinite, isinf
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .gdcore import (
     GdError,
     HammingCode,
     LengthMismatch,
-    _mod_small,
     build_code,
     gd_decode,
     gd_encode,
@@ -59,8 +58,25 @@ class InvariantViolation(GdError):
     """A pipeline bookkeeping invariant failed to hold."""
 
 
+class InvalidTime(GdError, ValueError):
+    """A time value is NaN, negative, infinite where it must be finite, or
+    not a whole number of nanoseconds."""
+
+
 def _to_ns(seconds: float) -> int:
     return round(seconds * 1e9)
+
+
+def _time_ns(seconds: float, name: str) -> int:
+    """A configured time in seconds as integer nanoseconds, the simulator's
+    clock tick. A time off that grid (beyond float rounding) is rejected
+    rather than rounded, so 1e-10 s never runs as 0."""
+    if not isfinite(seconds) or seconds < 0:
+        raise InvalidTime(f"{name} must be a finite time >= 0, got {seconds!r}")
+    ns = _to_ns(seconds)
+    if not isclose(seconds * 1e9, ns, rel_tol=1e-12, abs_tol=1e-6):
+        raise InvalidTime(f"{name} must be a whole number of nanoseconds, got {seconds!r}")
+    return ns
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +138,11 @@ class Counters:
         if self.restored_raw != self.in_syn_basis + self.in_syn_id - self.decode_miss:
             raise InvariantViolation(
                 "RESTORED_RAW != IN_SYN_BASIS + IN_SYN_ID - DECODE_MISS")
+        # every install and every eviction serves one digest's basis
+        if self.installs > self.digests:
+            raise InvariantViolation("INSTALLS > DIGESTS")
+        if self.evictions > self.digests:
+            raise InvariantViolation("EVICTIONS > DIGESTS")
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,8 +158,8 @@ class PipelineConfig:
             raise ValueError(f"m={self.m} has no registered generator (3..15)")
         if not 1 <= self.id_width <= 24:
             raise ValueError("id_width must be in 1..24")
-        if isnan(self.learning_delay) or self.learning_delay < 0:
-            raise ValueError("learning_delay must be >= 0 (or inf)")
+        if self.learning_delay != inf:
+            _time_ns(self.learning_delay, "learning_delay")
         if not 0.0 <= self.decoder_install_lead <= 1.0:
             raise ValueError("decoder_install_lead must be in [0, 1]")
 
@@ -289,24 +310,20 @@ class ControlPlane:
         self._unalloc.append((basis, now_ns))
         return True
 
-    def install_now(self, basis: int, now_ns: int = 0, count: bool = True) -> int | None:
+    def install_now(self, basis: int, now_ns: int = 0) -> int | None:
         """Learn and make a basis visible to both sides immediately.
 
-        Used with count=False to preload static tables before a run; such
-        setup does not touch the counters. Returns the assigned ID, or
-        None if the basis was already mapped.
+        This preloads static tables before a run; such setup is not
+        traffic and does not touch the counters. Returns the assigned ID,
+        or None if the basis was already mapped.
         """
         if self._state.entry(basis) is not None:
             return None
         if self._state.free_count == 0:
             _, victim = self._state.peek_victim()
             self._fwd_remove(victim)
-            if count:
-                self._counters.evictions += 1
         outcome = self._state.learn(basis, now_ns)
         self._fwd_install(basis, outcome.assigned)
-        if count:
-            self._counters.installs += 1
         return outcome.assigned
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
@@ -441,7 +458,7 @@ class Pipeline:
         now_ns = _to_ns(now)
         added = 0
         for b in bases:
-            if self.control.install_now(b, now_ns, count=False) is not None:
+            if self.control.install_now(b, now_ns) is not None:
                 added += 1
         return added
 
@@ -477,9 +494,7 @@ class Pipeline:
             raise LengthMismatch(
                 f"trace holds {trace.chunk_bits}-bit chunks, config m={self.config.m} "
                 f"needs {self.config.chunk_bits}")
-        gap_ns = _to_ns(gap)
-        if gap_ns < 0:
-            raise ValueError("inter-arrival gap must be >= 0")
+        gap_ns = _time_ns(gap, "inter-arrival gap")
         out_chunks = []
         for i in range(trace.chunk_count):
             restored = self._push_ns(trace.chunk(i), i * gap_ns)
@@ -492,11 +507,13 @@ class Pipeline:
 
 # -- vectorized trace replay ------------------------------------------------
 
-_VECTOR_MAX_M = 13  # above this the parity-placement table would be >32 MB
-
-
 class _VectorTables:
-    """Byte-column lookup tables for whole-trace transforms."""
+    """Byte-column lookup tables for whole-trace transforms, for any m.
+
+    Chunks are rows of `width` big-endian bytes, so bit 8*(width-1-j)+b of
+    a chunk is bit b of column j. Remainders are linear, so each column
+    table is the XOR of eight single-bit remainders x^i mod g.
+    """
 
     def __init__(self, m: int, low_bits: int):
         full = (1 << m) | low_bits
@@ -504,70 +521,99 @@ class _VectorTables:
         n = (1 << m) - 1
         k = n - m
 
-        def shifted(col, times):
-            for _ in range(times):
-                col = [(r << 1) ^ full if r >> (m - 1) else r << 1 for r in col]
-            return col
+        powers = []  # x^i mod g
+        r = 1
+        for _ in range(8 * width + m):
+            powers.append(r)
+            r <<= 1
+            if r >> m:
+                r ^= full
+        powers = np.array(powers, dtype=np.uint16)
+        v = np.arange(256, dtype=np.uint16)
+
+        def column_tables(first: int) -> np.ndarray:
+            # row j, entry v: remainder of v * x^(first + 8*(width-1-j))
+            bits = powers[first:first + 8 * width].reshape(width, 8)[::-1]
+            table = np.zeros((width, 256), dtype=np.uint16)
+            for b in range(8):
+                table ^= bits[:, b:b + 1] * ((v >> b) & 1)
+            return table
 
         # syn[j][v] = (v << 8*(width-1-j)) mod g; par[j][v] adds m more shifts
-        syn = np.empty((width, 256), dtype=np.uint16)
-        par = np.empty((width, 256), dtype=np.uint16)
-        col = [_mod_small(v, full, m) for v in range(256)]
-        for j in range(width - 1, -1, -1):
-            syn[j] = col
-            par[j] = shifted(col, m)
-            col = shifted(col, 8)
-        self.syn, self.par = syn, par
+        self.syn = column_tables(0)
+        self.par = column_tables(m)
 
-        code = build_code(m, low_bits)
-        self.flip_col = np.zeros(1 << m, dtype=np.int64)
+        # the syndrome of a single flipped bit at pos is x^pos mod g
+        pos = np.arange(n)
+        self.flip_col = np.zeros(1 << m, dtype=np.intp)
         self.flip_bit = np.zeros(1 << m, dtype=np.uint8)
-        for s, pos in code.syndrome_table.items():
-            self.flip_col[s] = width - 1 - (pos >> 3)
-            self.flip_bit[s] = 1 << (pos & 7)
+        self.flip_col[powers[:n]] = width - 1 - (pos >> 3)
+        self.flip_bit[powers[:n]] = (1 << (pos & 7)).astype(np.uint8)
 
-        rows = b"".join((p << k).to_bytes(width, "big") for p in range(1 << m))
-        self.parity_rows = np.frombuffer(rows, dtype=np.uint8).reshape(1 << m, width)
-
-        # masking the top m+1 bits of a corrected codeword leaves the basis
-        self.mask_full_bytes = (m + 1) // 8
-        rem = (m + 1) % 8
-        self.mask_rem_byte = (0xFF >> rem) if rem else None
+        # msb and parity, bits k..n, are the top m+1 bits: inside the first
+        # `cols` bytes. Masking them off a codeword leaves its basis.
+        self.cols = cols = min(2, width)
+        placed = np.arange(1 << m) << (k - 8 * (width - cols))
+        self.place = placed.astype(">u2").view(np.uint8).reshape(-1, 2)[:, 2 - cols:]
+        self.basis_mask = np.frombuffer(
+            ((1 << (8 * cols - m - 1)) - 1).to_bytes(cols, "big"), dtype=np.uint8)
         self.width = width
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _vector_tables(m: int, low_bits: int) -> _VectorTables:
     return _VectorTables(m, low_bits)
 
 
-def _encode_arrays(payload: bytes, count: int, tabs: _VectorTables):
-    """(msb, syndrome, basis-row buffer) for every chunk in the payload."""
+def _column_xor(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row, the XOR over columns j of table[j][rows[:, j]], gathered a
+    cache-sized block of rows at a time rather than a column at a time."""
+    flat = table.ravel()
+    offsets = np.arange(rows.shape[1], dtype=np.intp) * 256
+    out = np.empty(len(rows), dtype=np.uint16)
+    step = max(1, (1 << 16) // rows.shape[1])
+    for i in range(0, len(rows), step):
+        out[i:i + step] = np.bitwise_xor.reduce(flat[rows[i:i + step] + offsets], axis=1)
+    return out
+
+
+def encode_batch(payload: bytes, code: HammingCode,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gd_encode for every 2^m-bit chunk of a payload at once.
+
+    Returns (msb, syndrome, basis rows): uint8 and uint16 vectors with one
+    entry per chunk, and a (chunks, 2^m/8) uint8 array whose row i is chunk
+    i's basis, right-aligned in the chunk's width with its top m+1 bits zero.
+    """
+    tabs = _vector_tables(code.m, code.generator.low_bits)
+    if len(payload) % tabs.width:
+        raise LengthMismatch(f"payload is not a whole number of {code.n + 1}-bit chunks")
+    count = len(payload) // tabs.width
     a = np.frombuffer(payload, dtype=np.uint8).reshape(count, tabs.width)
     msb = a[:, 0] >> 7
     body = a.copy()
     body[:, 0] &= 0x7F
-    s = np.zeros(count, dtype=np.uint16)
-    for j in range(tabs.width):
-        s ^= tabs.syn[j][body[:, j]]
+    s = _column_xor(body, tabs.syn)
     body[np.arange(count), tabs.flip_col[s]] ^= tabs.flip_bit[s]
-    body[:, :tabs.mask_full_bytes] = 0
-    if tabs.mask_rem_byte is not None:
-        body[:, tabs.mask_full_bytes] &= tabs.mask_rem_byte
-    return msb, s, body.tobytes()
+    body[:, :tabs.cols] &= tabs.basis_mask
+    return msb, s, body
 
 
-def _decode_arrays(basis_rows: np.ndarray, s: np.ndarray, msb: np.ndarray,
-                   tabs: _VectorTables) -> bytes:
-    """Restore chunks from per-frame (basis row, syndrome, msb)."""
-    count = len(basis_rows)
-    p = np.zeros(count, dtype=np.uint16)
-    for j in range(tabs.width):
-        p ^= tabs.par[j][basis_rows[:, j]]
-    cw = basis_rows ^ tabs.parity_rows[p]
-    cw[np.arange(count), tabs.flip_col[s]] ^= tabs.flip_bit[s]
-    cw[:, 0] |= msb.astype(np.uint8) << 7
-    return cw.tobytes()
+def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
+                 code: HammingCode) -> bytes:
+    """Inverse of encode_batch: the restored chunks, back to back.
+
+    Works in place: `rows` (basis rows as encode_batch returns them) is
+    overwritten with the restored chunks, so no second copy of the trace
+    is made before the returned bytes.
+    """
+    tabs = _vector_tables(code.m, code.generator.low_bits)
+    count = len(rows)
+    p = _column_xor(rows, tabs.par)
+    rows[:, :tabs.cols] ^= tabs.place[p]
+    rows[np.arange(count), tabs.flip_col[syndrome]] ^= tabs.flip_bit[syndrome]
+    rows[:, 0] |= msb.astype(np.uint8) << 7
+    return rows.tobytes()
 
 
 def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
@@ -579,29 +625,19 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     Returns (restored trace, counters, (raw payload bytes, encoded payload
     bytes)). `preload` optionally installs a static basis table first; if
     `state_out` is a list the final DictionaryState is appended to it.
-    Semantically identical to Pipeline.replay; large traces go through
-    vectorized transforms.
+    Semantically identical to Pipeline.replay: the transforms run
+    vectorized for every m, the dictionary and control plane per chunk.
     """
     if trace.chunk_bits != config.chunk_bits:
         raise LengthMismatch(
             f"trace holds {trace.chunk_bits}-bit chunks, config m={config.m} "
             f"needs {config.chunk_bits}")
-    if gap < 0:
-        raise ValueError("inter-arrival gap must be >= 0")
-    if config.m > _VECTOR_MAX_M:
-        pipe = Pipeline(config)
-        if preload is not None:
-            pipe.preload(preload)
-        result = pipe.replay(trace, gap)
-        if state_out is not None:
-            state_out.append(pipe.state)
-        return result
-
+    gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
-    tabs = _vector_tables(config.m, code.generator.low_bits)
-    width = tabs.width
+    width = trace.chunk_nbytes
     count = trace.chunk_count
-    msb_vec, s_vec, basis_buf = _encode_arrays(trace.payload, count, tabs)
+    msb_vec, s_vec, basis_rows = encode_batch(trace.payload, code)
+    basis_buf = basis_rows.tobytes()
 
     state = DictionaryState(config.id_width, basis_bits=code.k)
     counters = Counters()
@@ -612,11 +648,13 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
         fwd_remove=lambda b: forward.pop(b.to_bytes(width, "big"), None))
     if preload is not None:
         for b in preload:
-            cp.install_now(b, 0, count=False)
+            cp.install_now(b, 0)
 
-    gap_ns = _to_ns(gap)
+    # The forward map only ever holds mappings the reverse map also holds
+    # (installs go decoder-side first, evictions drop the forward entry
+    # first), so a SYN_ID frame resolves to the encoder's own basis row and
+    # the decoder restores straight from basis_rows.
     n_sb = n_si = 0
-    resolved: list[bytes] = []  # decoder-resolved basis rows, emission order
     dropped: list[int] = []
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
@@ -630,10 +668,8 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
         hit = get_fwd(key)
         if hit is None:
             n_sb += 1
-            basis_int = int.from_bytes(key, "big")
-            if submit(basis_int, t):
+            if submit(int.from_bytes(key, "big"), t):
                 nxt = cp.next_event_ns
-            resolved.append(key)
         else:
             id_, basis_int = hit
             lookup_id(basis_int, t)  # refresh recency
@@ -642,32 +678,25 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
             if value is None:  # unreachable with decoder-first installs
                 counters.decode_miss += 1
                 dropped.append(i)
-            else:
-                resolved.append(value.to_bytes(width, "big"))
+            elif value != basis_int:
+                raise InvariantViolation(
+                    f"id {id_} resolves to a basis other than the encoder's")
         if nxt is not None and nxt <= t:
             poll(t)
             nxt = cp.next_event_ns
+    del basis_buf
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb
     counters.out_syn_id += n_si
     counters.in_syn_basis += n_sb
     counters.in_syn_id += n_si
-    counters.restored_raw += len(resolved)
+    counters.restored_raw += count - len(dropped)
 
-    if resolved:
-        rows = np.frombuffer(b"".join(resolved), dtype=np.uint8)
-        rows = rows.reshape(len(resolved), width)
-        if dropped:
-            keep = np.ones(count, dtype=bool)
-            keep[dropped] = False
-            s_out, msb_out = s_vec[keep], msb_vec[keep]
-        else:
-            s_out, msb_out = s_vec, msb_vec
-        restored_payload = _decode_arrays(rows, s_out, msb_out, tabs)
-    else:
-        restored_payload = b""
-    out = Trace(trace.chunk_bits, restored_payload)
+    if dropped:
+        basis_rows, s_vec, msb_vec = (np.delete(a, dropped, axis=0)
+                                      for a in (basis_rows, s_vec, msb_vec))
+    out = Trace(trace.chunk_bits, decode_batch(basis_rows, s_vec, msb_vec, code))
     raw_bytes = count * width
     encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
     if state_out is not None:
@@ -679,20 +708,9 @@ def compute_bases(trace: Trace, config: PipelineConfig) -> list[int]:
     """Distinct bases of a trace in first-appearance order (static preload)."""
     if trace.chunk_bits != config.chunk_bits:
         raise LengthMismatch("trace chunk size does not match config")
-    code = build_code(config.m)
-    if config.m > _VECTOR_MAX_M:
-        seen = dict()
-        for chunk in trace.chunks():
-            _, body = split_chunk(chunk, code)
-            _, basis = gd_encode(body, code)
-            seen.setdefault(basis.value, None)
-        return list(seen)
-    tabs = _vector_tables(config.m, code.generator.low_bits)
-    _, _, buf = _encode_arrays(trace.payload, trace.chunk_count, tabs)
-    w = tabs.width
-    seen = dict()
-    for i in range(trace.chunk_count):
-        seen.setdefault(buf[i * w:(i + 1) * w], None)
+    buf = encode_batch(trace.payload, build_code(config.m))[2].tobytes()
+    w = trace.chunk_nbytes
+    seen = dict.fromkeys(buf[i * w:(i + 1) * w] for i in range(trace.chunk_count))
     return [int.from_bytes(key, "big") for key in seen]
 
 

@@ -37,6 +37,10 @@ class TruncatedFile(GdError):
     """The file body does not hold the number of chunks the header claims."""
 
 
+class BadPacket(GdError, ValueError):
+    """A pcap packet does not carry exactly one chunk as its payload."""
+
+
 def m_for_chunk_bits(chunk_bits: int) -> int:
     """The m with 2^m == chunk_bits, or InvalidSpec if there is none."""
     m = chunk_bits.bit_length() - 1
@@ -264,7 +268,7 @@ def read_pcap_payloads(path, chunk_bits: int) -> Trace:
         if off + incl > len(data):
             raise TruncatedFile(f"{path}: packet data runs past end of file")
         if incl != _ETH_HEADER_LEN + w:
-            raise ValueError(f"{path}: packet payload is not {w} bytes")
+            raise BadPacket(f"{path}: packet payload is not {w} bytes")
         parts.append(data[off + _ETH_HEADER_LEN:off + incl])
         off += incl
     return Trace(chunk_bits, b"".join(parts))

@@ -138,6 +138,24 @@ class TestRun:
         path.write_bytes(b"garbage!")
         assert main(["run", str(path), "--mode", "static"]) == 2
 
+    @pytest.mark.parametrize("gap", ["inf", "nan", "1e-10", "-1e-10"])
+    def test_bad_gap_exits_2(self, tmp_path, capsys, gap):
+        # inf used to escape as an OverflowError traceback, nan as a bare
+        # int() message, and 1e-10 ran silently as a zero gap
+        path, _ = make_trace(tmp_path)
+        report = tmp_path / "report.txt"
+        rc = main(["run", str(path), "--mode", "dynamic", f"--gap={gap}",
+                   "--report", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: inter-arrival gap must be")
+        assert not report.exists()
+
+    def test_bad_delay_exits_2(self, tmp_path, capsys):
+        path, _ = make_trace(tmp_path)
+        assert main(["run", str(path), "--mode", "dynamic", "--delay", "1e-10"]) == 2
+        assert capsys.readouterr().err.startswith("error: learning_delay must be")
+
     def test_mode_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "whatever"])

@@ -218,6 +218,13 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             DictionaryState.load(path, id_width=3)
 
+    @pytest.mark.parametrize("text", ["0 800\n", "0 -1\n"])
+    def test_load_rejects_basis_outside_basis_bits(self, tmp_path, text):
+        path = tmp_path / "snap.txt"
+        path.write_text(text)
+        with pytest.raises(SnapshotError, match="line 1"):
+            DictionaryState.load(path, id_width=3, basis_bits=11)
+
 
 def test_conservation_under_many_learns():
     state = DictionaryState(id_width=6)

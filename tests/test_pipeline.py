@@ -2,9 +2,21 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
-from gdpipe.gdcore import BitChunk, EncodedChunk, LengthMismatch
+from gdpipe.dictionary import DictionaryState
+from gdpipe.gdcore import (
+    GENERATOR_REGISTRY,
+    BitChunk,
+    EncodedChunk,
+    GdError,
+    LengthMismatch,
+    build_code,
+    gd_encode,
+    parity_of,
+    split_chunk,
+)
 from gdpipe.pipeline import (
     RAW,
     SYN_BASIS,
@@ -13,11 +25,15 @@ from gdpipe.pipeline import (
     Counters,
     DecodeMiss,
     Frame,
+    InvalidTime,
     InvariantViolation,
     MalformedFrame,
     Pipeline,
     PipelineConfig,
+    _vector_tables,
     compute_bases,
+    decode_batch,
+    encode_batch,
     parse_frame,
     raw_nbytes,
     run_pipeline,
@@ -27,6 +43,7 @@ from gdpipe.pipeline import (
     write_pcap,
 )
 from gdpipe.traces import Trace, TraceSpec, gen_synthetic
+from oracles import remainder_of_int
 
 CFG3 = PipelineConfig(m=3, id_width=15, learning_delay=1.77e-3)
 CFG8 = PipelineConfig(m=8, id_width=15)
@@ -133,6 +150,16 @@ class TestCounters:
         with pytest.raises(InvariantViolation):
             Counters(raw_in=-1).verify()
 
+    def test_verify_rejects_installs_beyond_digests(self):
+        Counters(digests=2, installs=2).verify()
+        with pytest.raises(InvariantViolation, match="INSTALLS > DIGESTS"):
+            Counters(digests=1, installs=2).verify()
+
+    def test_verify_rejects_evictions_beyond_digests(self):
+        Counters(digests=2, evictions=2).verify()
+        with pytest.raises(InvariantViolation, match="EVICTIONS > DIGESTS"):
+            Counters(digests=1, evictions=2).verify()
+
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -147,6 +174,13 @@ class TestConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("delay", [-1e-10, 1e-10, 1.5e-9, -math.inf,
+                                       float("nan")])
+    def test_delay_off_the_nanosecond_grid(self, delay):
+        with pytest.raises(InvalidTime) as exc:
+            PipelineConfig(learning_delay=delay)
+        assert isinstance(exc.value, GdError)
 
     def test_inf_delay_allowed(self):
         PipelineConfig(learning_delay=math.inf)
@@ -354,6 +388,29 @@ class TestRunPipeline:
         assert out.chunk_count == 0 and (raw, enc) == (0, 0)
         counters.verify()
 
+    def test_decode_miss_drops_frames_like_scalar(self, monkeypatch):
+        # decoder-first installs make a miss unreachable, so force one
+        spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
+        trace = gen_synthetic(spec)
+        bases = compute_bases(trace, CFG8)
+        real = DictionaryState.lookup_basis
+        monkeypatch.setattr(DictionaryState, "lookup_basis",
+                            lambda self, id_: None if id_ == 1 else real(self, id_))
+        fast = run_pipeline(trace, CFG8, 1e-6, preload=bases)
+        pipe = Pipeline(CFG8)
+        pipe.preload(bases)
+        slow = pipe.replay(trace, 1e-6)
+        assert 0 < fast[1].decode_miss < 60
+        assert fast[1] == slow[1] and fast[2] == slow[2]
+        assert fast[0].payload == slow[0].payload
+        fast[1].verify()
+
+    def test_resolved_basis_must_be_the_encoders(self, monkeypatch):
+        trace = Trace(256, bytes(32) * 3)
+        monkeypatch.setattr(DictionaryState, "lookup_basis", lambda self, id_: 1)
+        with pytest.raises(InvariantViolation):
+            run_pipeline(trace, CFG8, 1e-6, preload=[0])
+
     def test_wide_code_scalar_fallback(self):
         # m=14 sits above the vectorized-table gate
         spec = TraceSpec(seed=41, chunk_count=12, chunk_bits=1 << 14,
@@ -368,6 +425,122 @@ class TestRunPipeline:
         assert counters.decode_miss == 0
         counters.verify()
         assert len(holder[0].items()) == counters.installs
+
+
+class TestGapValidation:
+    """Both replay engines take the same gaps and reject the same gaps."""
+
+    TRACE = Trace(8, bytes(4))
+
+    @pytest.mark.parametrize("gap", [math.inf, -math.inf, float("nan"),
+                                     1e-10, -1e-10, 2.5e-9, -1e-6])
+    def test_rejected_by_both_engines(self, gap):
+        with pytest.raises(InvalidTime):
+            run_pipeline(self.TRACE, CFG3, gap)
+        with pytest.raises(InvalidTime):
+            Pipeline(CFG3).replay(self.TRACE, gap)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9, 3e-9, 1.77e-3, 2.5e-6])
+    def test_nanosecond_gaps_accepted(self, gap):
+        assert run_pipeline(self.TRACE, CFG3, gap)[1] == Pipeline(CFG3).replay(
+            self.TRACE, gap)[1]
+
+
+def _codes():
+    return [(m, low) for m, lows in GENERATOR_REGISTRY.items() for low in lows]
+
+
+class TestVectorTables:
+    """The batch transforms against independent references, for every
+    registered generator."""
+
+    @pytest.mark.parametrize("m,low", _codes())
+    def test_column_tables_match_long_division(self, m, low):
+        tabs = _vector_tables(m, low)
+        rng = random.Random(m * 1000 + low)
+        for j in {0, tabs.width - 1, rng.randrange(tabs.width)}:
+            shift = 8 * (tabs.width - 1 - j)
+            for v in (1, 0x80, rng.randrange(256)):
+                assert tabs.syn[j][v] == remainder_of_int(v << shift, shift + 8, m, low)
+                assert tabs.par[j][v] == remainder_of_int(
+                    v << (shift + m), shift + m + 8, m, low)
+
+    @pytest.mark.parametrize("m,low", _codes())
+    def test_parity_placement_matches_parity_of(self, m, low):
+        code = build_code(m, low)
+        width = (1 << m) // 8
+        rng = random.Random(m * 1000 + low)
+        bases = [0, (1 << code.k) - 1] + [rng.getrandbits(code.k) for _ in range(6)]
+        rows = np.frombuffer(b"".join(b.to_bytes(width, "big") for b in bases),
+                             dtype=np.uint8).reshape(len(bases), width).copy()
+        zeros = np.zeros(len(bases), dtype=np.uint16)
+        got = decode_batch(rows, zeros, zeros.astype(np.uint8), code)
+        want = b"".join(((parity_of(BitChunk(code.k, b), code) << code.k) | b)
+                        .to_bytes(width, "big") for b in bases)
+        assert got == want
+
+    @pytest.mark.parametrize("m,low", _codes())
+    def test_batch_matches_scalar_codec(self, m, low):
+        code = build_code(m, low)
+        width = (1 << m) // 8
+        rng = random.Random(m * 1000 + low)
+        payload = rng.randbytes(12 * width)
+        msb, syn, rows = encode_batch(payload, code)
+        for i in range(12):
+            top, body = split_chunk(BitChunk.from_bytes(payload[i * width:(i + 1) * width]),
+                                    code)
+            s, basis = gd_encode(body, code)
+            assert (msb[i], syn[i]) == (top, s)
+            assert int.from_bytes(rows[i].tobytes(), "big") == basis.value
+        assert decode_batch(rows, syn, msb, code) == payload
+
+    def test_encode_batch_rejects_partial_chunk(self):
+        with pytest.raises(LengthMismatch):
+            encode_batch(bytes(33), build_code(8))
+
+
+class TestWideCodes:
+    """m=14 and m=15 take the same vectorized path as every other m."""
+
+    @pytest.mark.parametrize("m", [14, 15])
+    @pytest.mark.parametrize("mode", ["static", "dynamic", "no-table"])
+    def test_matches_scalar_replay(self, m, mode):
+        spec = TraceSpec(seed=m, chunk_count=40, chunk_bits=1 << m,
+                         distinct_bases=6, codeword_prob=0.3)
+        trace = gen_synthetic(spec)
+        delay = {"static": 1.77e-3, "dynamic": 3e-6, "no-table": math.inf}[mode]
+        cfg = PipelineConfig(m=m, id_width=2, learning_delay=delay,
+                             decoder_install_lead=0.5)
+        bases = compute_bases(trace, cfg)
+        preload = bases[:4] if mode == "static" else None
+        holder = []
+        fast = run_pipeline(trace, cfg, 1e-6, preload=preload, state_out=holder)
+        pipe = Pipeline(cfg)
+        if preload is not None:
+            pipe.preload(preload)
+        slow = pipe.replay(trace, 1e-6)
+        assert fast[1] == slow[1]
+        assert fast[2] == slow[2]
+        assert fast[0].payload == slow[0].payload == trace.payload
+        fast_state = holder[0]
+        assert fast_state.items() == pipe.state.items()
+        assert fast_state.free_ids() == pipe.state.free_ids()
+        assert [fast_state.entry(b) for b in bases] == [pipe.state.entry(b) for b in bases]
+        fast[1].verify()
+        if mode == "dynamic":
+            assert fast[1].evictions > 0 and fast[1].out_syn_id > 0
+        if mode == "static":
+            assert fast[1].out_syn_id > 0
+
+    @pytest.mark.parametrize("m", [14, 15])
+    def test_compute_bases_matches_scalar(self, m):
+        spec = TraceSpec(seed=m + 1, chunk_count=30, chunk_bits=1 << m, distinct_bases=5)
+        trace = gen_synthetic(spec)
+        code = build_code(m)
+        seen = {}
+        for chunk in trace.chunks():
+            seen.setdefault(gd_encode(split_chunk(chunk, code)[1], code)[1].value, None)
+        assert compute_bases(trace, PipelineConfig(m=m)) == list(seen)
 
 
 def _random_config(rng):

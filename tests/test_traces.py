@@ -1,9 +1,10 @@
 import pytest
 
-from gdpipe.gdcore import BitChunk, build_code, gd_encode, split_chunk
+from gdpipe.gdcore import BitChunk, GdError, build_code, gd_encode, split_chunk
 from gdpipe.pipeline import RAW, Frame, write_pcap
 from gdpipe.traces import (
     BadMagic,
+    BadPacket,
     EmptyInput,
     InvalidSpec,
     Trace,
@@ -219,3 +220,10 @@ class TestPcapImport:
         write_pcap([Frame(RAW, bytes(16), 0.0)], path)
         with pytest.raises(ValueError):
             read_pcap_payloads(path, 256)
+
+    def test_wrong_payload_size_is_a_gd_error(self, tmp_path):
+        path = tmp_path / "t.pcap"
+        write_pcap([Frame(RAW, bytes(32), 0.0), Frame(RAW, bytes(33), 1e-6)], path)
+        with pytest.raises(BadPacket, match="not 32 bytes") as exc:
+            read_pcap_payloads(path, 256)
+        assert isinstance(exc.value, GdError)
