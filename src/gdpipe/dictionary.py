@@ -9,8 +9,9 @@ are clamped internally so the stored clock never runs backwards.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .gdcore import GdError
@@ -52,7 +53,11 @@ class DictionaryState:
         # basis -> [id, last_used], kept in touch order (oldest first)
         self._entries: OrderedDict[int, list] = OrderedDict()
         self._reverse: dict[int, int] = {}
-        self._free: deque[int] = deque(range(self.capacity))
+        # IDs only ever leave the free pool (an eviction hands the victim's
+        # ID straight on), so the pool is a few ascending ranges, kept
+        # lowest-last: its size follows the data, not the ID space
+        self._free: list[range] = [range(self.capacity)]
+        self._free_count = self.capacity
         self._clock = 0
 
     def __len__(self) -> int:
@@ -60,10 +65,20 @@ class DictionaryState:
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self._free_count
 
     def free_ids(self) -> tuple[int, ...]:
-        return tuple(self._free)
+        return tuple(chain.from_iterable(reversed(self._free)))
+
+    def _take_free(self) -> int:
+        """The lowest free ID, removed from the pool."""
+        r = self._free[-1]
+        if len(r) == 1:
+            self._free.pop()
+        else:
+            self._free[-1] = r[1:]
+        self._free_count -= 1
+        return r.start
 
     def items(self):
         """(id, basis) pairs sorted by id."""
@@ -115,8 +130,8 @@ class DictionaryState:
             raise AlreadyKnown(f"basis already mapped to id {self._entries[basis][0]}")
         now = self._tick(now)
         evicted = None
-        if self._free:
-            id_ = self._free.popleft()
+        if self._free_count:
+            id_ = self._take_free()
         else:
             id_, evicted = self._pick_victim()
             del self._entries[evicted]
@@ -128,7 +143,7 @@ class DictionaryState:
     def peek_victim(self) -> tuple[int, int] | None:
         """The (id, basis) that the next learn() would evict, or None while
         free identifiers remain."""
-        if self._free or not self._entries:
+        if self._free_count or not self._entries:
             return None
         return self._pick_victim()
 
@@ -179,6 +194,14 @@ class DictionaryState:
             seen_ids.add(id_)
             state._entries[basis] = [id_, now]
             state._reverse[id_] = basis
-        state._free = deque(i for i in range(state.capacity) if i not in seen_ids)
+        free, lo = [], 0
+        for id_ in sorted(seen_ids):
+            if id_ > lo:
+                free.append(range(lo, id_))
+            lo = id_ + 1
+        if lo < state.capacity:
+            free.append(range(lo, state.capacity))
+        state._free = free[::-1]
+        state._free_count = state.capacity - len(seen_ids)
         state._tick(now)
         return state

@@ -14,7 +14,6 @@ without off-by-one install ticks).
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,7 +35,7 @@ from .gdcore import (
     join_chunk,
     split_chunk,
 )
-from .traces import Trace
+from .traces import _PCAP_GLOBAL, _PCAP_RECORD, Trace
 
 RAW = 1
 SYN_BASIS = 2
@@ -455,7 +454,7 @@ class Pipeline:
     def preload(self, bases, now: float = 0.0) -> int:
         """Install mappings for every given basis before replay (static
         table); duplicates are skipped, counters untouched."""
-        now_ns = _to_ns(now)
+        now_ns = _time_ns(now, "preload time")
         added = 0
         for b in bases:
             if self.control.install_now(b, now_ns) is not None:
@@ -463,12 +462,12 @@ class Pipeline:
         return added
 
     def control_plane_step(self, now: float) -> list[tuple[int, int]]:
-        return self.control.poll(_to_ns(now))
+        return self.control.poll(_time_ns(now, "control-plane time"))
 
     def push_chunk(self, chunk: BitChunk, at: float) -> BitChunk | None:
         """Feed one RAW chunk at a timestamp; returns the restored chunk
         (None if the frame was dropped on a decode miss)."""
-        return self._push_ns(chunk, _to_ns(at))
+        return self._push_ns(chunk, _time_ns(at, "arrival time"))
 
     def _push_ns(self, chunk: BitChunk, now_ns: int) -> BitChunk | None:
         if now_ns < self._last_ns:
@@ -616,6 +615,21 @@ def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
     return rows.tobytes()
 
 
+# Trace bytes per window: run_pipeline and compute_bases transform one
+# window at a time, so their memory beyond the trace itself stays constant.
+WINDOW_BYTES = 1 << 20
+
+
+def _windows(trace: Trace, code: HammingCode):
+    """(first chunk index, encode_batch result) for each window of the
+    trace, in order; a window holds at least one chunk."""
+    width = trace.chunk_nbytes
+    step = max(1, WINDOW_BYTES // width)
+    view = memoryview(trace.payload)
+    for start in range(0, trace.chunk_count, step):
+        yield start, encode_batch(view[start * width:(start + step) * width], code)
+
+
 def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
                  preload=None, state_out: list | None = None,
                  ) -> tuple[Trace, Counters, tuple[int, int]]:
@@ -627,6 +641,12 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     `state_out` is a list the final DictionaryState is appended to it.
     Semantically identical to Pipeline.replay: the transforms run
     vectorized for every m, the dictionary and control plane per chunk.
+
+    The trace streams through in windows of WINDOW_BYTES, with the
+    dictionary and control plane carried across them. Each restored window
+    is checked against its input window (InvariantViolation on any
+    difference), so the returned trace shares the input's payload unless a
+    decode miss dropped frames.
     """
     if trace.chunk_bits != config.chunk_bits:
         raise LengthMismatch(
@@ -636,8 +656,6 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     code = build_code(config.m)
     width = trace.chunk_nbytes
     count = trace.chunk_count
-    msb_vec, s_vec, basis_rows = encode_batch(trace.payload, code)
-    basis_buf = basis_rows.tobytes()
 
     state = DictionaryState(config.id_width, basis_bits=code.k)
     counters = Counters()
@@ -653,7 +671,7 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     # The forward map only ever holds mappings the reverse map also holds
     # (installs go decoder-side first, evictions drop the forward entry
     # first), so a SYN_ID frame resolves to the encoder's own basis row and
-    # the decoder restores straight from basis_rows.
+    # the decoder restores straight from the window's basis rows.
     n_sb = n_si = 0
     dropped: list[int] = []
     lookup_basis = state.lookup_basis
@@ -662,29 +680,36 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
-    for i in range(count):
-        t = i * gap_ns
-        key = basis_buf[i * width:(i + 1) * width]
-        hit = get_fwd(key)
-        if hit is None:
-            n_sb += 1
-            if submit(int.from_bytes(key, "big"), t):
+    for start, (msb_vec, s_vec, rows) in _windows(trace, code):
+        keys = rows.tobytes()
+        stop = start + len(rows)
+        for i, o in zip(range(start, stop), range(0, len(keys), width)):
+            t = i * gap_ns
+            key = keys[o:o + width]
+            hit = get_fwd(key)
+            if hit is None:
+                n_sb += 1
+                if submit(int.from_bytes(key, "big"), t):
+                    nxt = cp.next_event_ns
+            else:
+                id_, basis_int = hit
+                lookup_id(basis_int, t)  # refresh recency
+                n_si += 1
+                value = lookup_basis(id_)
+                if value is None:  # unreachable with decoder-first installs
+                    counters.decode_miss += 1
+                    dropped.append(i)
+                elif value != basis_int:
+                    raise InvariantViolation(
+                        f"id {id_} resolves to a basis other than the encoder's")
+            if nxt is not None and nxt <= t:
+                poll(t)
                 nxt = cp.next_event_ns
-        else:
-            id_, basis_int = hit
-            lookup_id(basis_int, t)  # refresh recency
-            n_si += 1
-            value = lookup_basis(id_)
-            if value is None:  # unreachable with decoder-first installs
-                counters.decode_miss += 1
-                dropped.append(i)
-            elif value != basis_int:
-                raise InvariantViolation(
-                    f"id {id_} resolves to a basis other than the encoder's")
-        if nxt is not None and nxt <= t:
-            poll(t)
-            nxt = cp.next_event_ns
-    del basis_buf
+        # dropped frames decode too: their rows are the encoder's own
+        restored = decode_batch(rows, s_vec, msb_vec, code)
+        if restored != trace.payload[start * width:stop * width]:
+            raise InvariantViolation(
+                f"chunks {start}..{stop - 1} did not restore bit-identically")
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb
@@ -693,31 +718,31 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     counters.in_syn_id += n_si
     counters.restored_raw += count - len(dropped)
 
+    payload = trace.payload
     if dropped:
-        basis_rows, s_vec, msb_vec = (np.delete(a, dropped, axis=0)
-                                      for a in (basis_rows, s_vec, msb_vec))
-    out = Trace(trace.chunk_bits, decode_batch(basis_rows, s_vec, msb_vec, code))
+        chunks = np.frombuffer(payload, dtype=np.uint8).reshape(count, width)
+        payload = np.delete(chunks, dropped, axis=0).tobytes()
     raw_bytes = count * width
     encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
     if state_out is not None:
         state_out.append(state)
-    return out, counters, (raw_bytes, encoded)
+    return Trace(trace.chunk_bits, payload), counters, (raw_bytes, encoded)
 
 
 def compute_bases(trace: Trace, config: PipelineConfig) -> list[int]:
     """Distinct bases of a trace in first-appearance order (static preload)."""
     if trace.chunk_bits != config.chunk_bits:
         raise LengthMismatch("trace chunk size does not match config")
-    buf = encode_batch(trace.payload, build_code(config.m))[2].tobytes()
     w = trace.chunk_nbytes
-    seen = dict.fromkeys(buf[i * w:(i + 1) * w] for i in range(trace.chunk_count))
+    seen: dict[bytes, None] = {}
+    for _, (_, _, rows) in _windows(trace, build_code(config.m)):
+        buf = rows.tobytes()
+        seen.update(dict.fromkeys(buf[o:o + w] for o in range(0, len(buf), w)))
     return [int.from_bytes(key, "big") for key in seen]
 
 
 # -- pcap export ------------------------------------------------------------
 
-_PCAP_GLOBAL = struct.Struct("<IHHiIII")
-_PCAP_RECORD = struct.Struct("<IIII")
 _ETH_DST = bytes.fromhex("020000000002")
 _ETH_SRC = bytes.fromhex("020000000001")
 

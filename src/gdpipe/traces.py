@@ -9,6 +9,7 @@ byte-stream chunker or the pcap payload importer.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,16 +229,22 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size or data[:8] != TRACE_MAGIC:
-        raise BadMagic(f"{path}: not a GDTRACE file")
-    _, chunk_bits, chunk_count = _HEADER.unpack_from(data)
-    if chunk_bits <= 0 or chunk_bits % 8:
-        raise TruncatedFile(f"{path}: invalid chunk_bits {chunk_bits}")
-    body = data[_HEADER.size:]
-    expect = chunk_count * (chunk_bits // 8)
-    if len(body) != expect:
-        raise TruncatedFile(f"{path}: expected {expect} payload bytes, found {len(body)}")
+    """Load a GDTRACE file; the body is read once, straight into the
+    trace's payload, after its size is checked against the header."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:8] != TRACE_MAGIC:
+            raise BadMagic(f"{path}: not a GDTRACE file")
+        _, chunk_bits, chunk_count = _HEADER.unpack(head)
+        if chunk_bits <= 0 or chunk_bits % 8:
+            raise TruncatedFile(f"{path}: invalid chunk_bits {chunk_bits}")
+        expect = chunk_count * (chunk_bits // 8)
+        found = os.fstat(f.fileno()).st_size - _HEADER.size
+        if found == expect:
+            body = f.read(expect)
+            found = len(body)
+    if found != expect:
+        raise TruncatedFile(f"{path}: expected {expect} payload bytes, found {found}")
     return Trace(chunk_bits, body)
 
 

@@ -1,5 +1,8 @@
+import struct
+
 import pytest
 
+from gdpipe import pipeline
 from gdpipe.cli import main
 from gdpipe.traces import TraceSpec, gen_synthetic, read_trace, write_trace
 
@@ -155,6 +158,30 @@ class TestRun:
         path, _ = make_trace(tmp_path)
         assert main(["run", str(path), "--mode", "dynamic", "--delay", "1e-10"]) == 2
         assert capsys.readouterr().err.startswith("error: learning_delay must be")
+
+    @pytest.mark.parametrize("claim", ["far past the file", "trailing bytes"])
+    def test_header_size_mismatch_exits_2(self, tmp_path, capsys, claim):
+        path, _ = make_trace(tmp_path)
+        data = path.read_bytes()
+        if claim == "trailing bytes":
+            path.write_bytes(data + b"x")
+        else:
+            path.write_bytes(struct.pack("<8sII", b"GDTRACE\0", 256, 2**32 - 1) + data[16:])
+        assert main(["run", str(path), "--mode", "static"]) == 2
+        assert "payload bytes" in capsys.readouterr().err
+
+    def test_corrupt_restore_exits_1(self, tmp_path, capsys, monkeypatch):
+        path, _ = make_trace(tmp_path)
+        real = pipeline.decode_batch
+
+        def flip_one_bit(rows, syndrome, msb, code):
+            out = bytearray(real(rows, syndrome, msb, code))
+            out[0] ^= 0x80
+            return bytes(out)
+
+        monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
+        assert main(["run", str(path), "--mode", "dynamic"]) == 1
+        assert capsys.readouterr().err.startswith("invariant violation")
 
     def test_mode_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from gdpipe.dictionary import AlreadyKnown, DictionaryState, SnapshotError
+from gdpipe.dictionary import AlreadyKnown, DictionaryState, LearnOutcome, SnapshotError
 
 
 class ReferenceModel:
@@ -231,4 +232,36 @@ def test_conservation_under_many_learns():
     for t in range(1000):
         state.learn(t, now=t)
     assert len(state) == 64 and state.free_count == 0
+    check_invariants(state)
+
+
+def test_memory_follows_the_data_not_the_id_space(tmp_path):
+    # a 2^24 ID space used to cost a 16M-entry free pool in every state
+    path = tmp_path / "snap.txt"
+    path.write_text("3 0a\n16777215 0b\n")
+    tracemalloc.start()
+    try:
+        state = DictionaryState(id_width=24)
+        for t in range(5):
+            state.learn(100 + t, now=t)
+        loaded = DictionaryState.load(path, id_width=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert state.free_count == (1 << 24) - 5
+    assert [state.learn(200 + t, now=9).assigned for t in range(2)] == [5, 6]
+    assert loaded.free_count == (1 << 24) - 2
+    assert [loaded.learn(t, now=0).assigned for t in range(5)] == [0, 1, 2, 4, 5]
+    assert loaded.free_count == (1 << 24) - 7
+
+
+def test_free_pool_drains_in_order_around_holes(tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_text("0 1\n2 2\n3 3\n6 4\n")
+    state = DictionaryState.load(path, id_width=3)
+    assert state.free_ids() == (1, 4, 5, 7)
+    assert [state.learn(10 + t, now=t).assigned for t in range(4)] == [1, 4, 5, 7]
+    assert state.free_ids() == () and state.free_count == 0
+    assert state.learn(20, now=9) == LearnOutcome(assigned=0, evicted_basis=1)
     check_invariants(state)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import struct
@@ -5,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from gdpipe import pipeline
 from gdpipe.dictionary import DictionaryState
 from gdpipe.gdcore import (
     GENERATOR_REGISTRY,
@@ -541,6 +543,142 @@ class TestWideCodes:
         for chunk in trace.chunks():
             seen.setdefault(gd_encode(split_chunk(chunk, code)[1], code)[1].value, None)
         assert compute_bases(trace, PipelineConfig(m=m)) == list(seen)
+
+
+class TestScalarTimeChecks:
+    """The scalar Pipeline's own timestamps go through the same check as
+    gaps: NaN, infinite, negative and sub-nanosecond times are refused."""
+
+    TIMES = [float("nan"), math.inf, 1e-10, -1e-10]
+
+    @pytest.mark.parametrize("at", TIMES)
+    def test_push_chunk(self, at):
+        with pytest.raises(InvalidTime, match="arrival time"):
+            Pipeline(CFG3).push_chunk(BitChunk(8, 1), at)
+
+    @pytest.mark.parametrize("now", TIMES)
+    def test_control_plane_step(self, now):
+        with pytest.raises(InvalidTime, match="control-plane time"):
+            Pipeline(CFG3).control_plane_step(now)
+
+    @pytest.mark.parametrize("now", TIMES)
+    def test_preload(self, now):
+        pipe = Pipeline(CFG3)
+        with pytest.raises(InvalidTime, match="preload time"):
+            pipe.preload([1], now)
+        assert len(pipe.state) == 0
+
+    def test_nanosecond_times_accepted(self):
+        pipe = Pipeline(CFG3)
+        assert pipe.preload([1], 3e-9) == 1
+        assert pipe.push_chunk(BitChunk(8, 1), 2.5e-6) == BitChunk(8, 1)
+        assert pipe.control_plane_step(1e-3) == []
+
+
+def _window_case(mode):
+    """(trace, config, preload) for one mode of the windowed-replay tests."""
+    if mode == "m14":
+        spec = TraceSpec(seed=14, chunk_count=40, chunk_bits=1 << 14,
+                         distinct_bases=6, codeword_prob=0.3)
+        cfg = PipelineConfig(m=14, id_width=2, learning_delay=3e-6,
+                             decoder_install_lead=0.5)
+        return gen_synthetic(spec), cfg, None
+    # 40 bases against 16 IDs: the dynamic mode evicts, and the static
+    # table holds only some of the bases
+    spec = TraceSpec(seed=5, chunk_count=4500, chunk_bits=32,
+                     distinct_bases=40, codeword_prob=0.3)
+    delay = {"static": 1.77e-3, "dynamic": 3e-6, "no-table": math.inf}[mode]
+    cfg = PipelineConfig(m=5, id_width=4, learning_delay=delay,
+                         decoder_install_lead=0.5)
+    trace = gen_synthetic(spec)
+    preload = _scalar_bases(trace, cfg)[:12] if mode == "static" else None
+    return trace, cfg, preload
+
+
+def _scalar_bases(trace, cfg):
+    code = build_code(cfg.m)
+    seen = {}
+    for chunk in trace.chunks():
+        seen.setdefault(gd_encode(split_chunk(chunk, code)[1], code)[1].value, None)
+    return list(seen)
+
+
+@functools.cache
+def _scalar_run(mode):
+    """The reference replay of a window case, computed once per mode."""
+    trace, cfg, preload = _window_case(mode)
+    pipe = Pipeline(cfg)
+    if preload is not None:
+        pipe.preload(preload)
+    out, counters, sizes = pipe.replay(trace, 1e-6)
+    return out.payload, counters, sizes, pipe.state, _scalar_bases(trace, cfg)
+
+
+class TestWindowedReplay:
+    """run_pipeline and compute_bases stream the trace through windows of
+    WINDOW_BYTES; the outputs must not depend on where windows break."""
+
+    # a budget below one chunk still makes one-chunk windows
+    @pytest.mark.parametrize("chunks", [1, 7, 4096, "all"])
+    @pytest.mark.parametrize("mode", ["static", "dynamic", "no-table", "m14"])
+    def test_matches_scalar_replay(self, monkeypatch, mode, chunks):
+        trace, cfg, preload = _window_case(mode)
+        width = trace.chunk_nbytes
+        per = trace.chunk_count if chunks == "all" else chunks
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 1 if per == 1 else per * width)
+        windows = pipeline._windows(trace, build_code(cfg.m))
+        assert len(list(windows)) == -(-trace.chunk_count // per)
+
+        payload, counters, sizes, state, bases = _scalar_run(mode)
+        holder = []
+        out, got, got_sizes = run_pipeline(trace, cfg, 1e-6, preload=preload,
+                                           state_out=holder)
+        assert got == counters
+        assert got_sizes == sizes
+        assert out.payload == payload == trace.payload
+        assert out.payload is trace.payload  # no second copy of the trace
+        assert holder[0].items() == state.items()
+        assert holder[0].free_ids() == state.free_ids()
+        assert [holder[0].entry(b) for b in bases] == [state.entry(b) for b in bases]
+        assert compute_bases(trace, cfg) == bases
+        got.verify()
+        if mode in ("dynamic", "m14"):
+            assert got.evictions > 0 and got.out_syn_id > 0
+        if mode == "static":
+            assert got.out_syn_id > 0 and got.out_syn_basis > 0
+
+    @pytest.mark.parametrize("chunks", [1, 7])
+    def test_decode_miss_across_windows(self, monkeypatch, chunks):
+        spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
+        trace = gen_synthetic(spec)
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", chunks * trace.chunk_nbytes)
+        bases = compute_bases(trace, CFG8)
+        real = DictionaryState.lookup_basis
+        monkeypatch.setattr(DictionaryState, "lookup_basis",
+                            lambda self, id_: None if id_ == 1 else real(self, id_))
+        fast = run_pipeline(trace, CFG8, 1e-6, preload=bases)
+        pipe = Pipeline(CFG8)
+        pipe.preload(bases)
+        slow = pipe.replay(trace, 1e-6)
+        assert 0 < fast[1].decode_miss < 60
+        assert fast[1] == slow[1] and fast[2] == slow[2]
+        assert fast[0].payload == slow[0].payload
+
+    @pytest.mark.parametrize("chunks", [1, 7, 1000])
+    def test_corrupt_restore_is_an_invariant_violation(self, monkeypatch, chunks):
+        trace = gen_synthetic(TraceSpec(seed=3, chunk_count=50, chunk_bits=256,
+                                        distinct_bases=4))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", chunks * trace.chunk_nbytes)
+        real = pipeline.decode_batch
+
+        def flip_one_bit(rows, syndrome, msb, code):
+            out = bytearray(real(rows, syndrome, msb, code))
+            out[-1] ^= 1
+            return bytes(out)
+
+        monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
+        with pytest.raises(InvariantViolation, match="restore bit-identically"):
+            run_pipeline(trace, CFG8, 1e-6)
 
 
 def _random_config(rng):

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from gdpipe.gdcore import BitChunk, GdError, build_code, gd_encode, split_chunk
@@ -195,6 +197,17 @@ class TestTraceFiles:
             read_trace(path)
         path.write_bytes(data + b"x")  # trailing garbage is also a size mismatch
         with pytest.raises(TruncatedFile):
+            read_trace(path)
+
+    @pytest.mark.parametrize("chunk_bits,chunk_count", [
+        (256, 2**32 - 1),          # far more chunks than the file holds
+        (2**31, 2**32 - 1),        # a body of 2^60 bytes: never read
+    ])
+    def test_header_claims_more_than_the_file(self, tmp_path, chunk_bits, chunk_count):
+        path = tmp_path / "t.gdtrace"
+        path.write_bytes(struct.pack("<8sII", b"GDTRACE\0", chunk_bits, chunk_count)
+                         + bytes(32))
+        with pytest.raises(TruncatedFile, match="found 32"):
             read_trace(path)
 
 
