@@ -173,7 +173,11 @@ class DictionaryState:
              now=0) -> "DictionaryState":
         state = cls(id_width=id_width, basis_bits=basis_bits)
         seen_ids = set()
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_bytes().decode()
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for ln, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:

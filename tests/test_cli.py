@@ -1,8 +1,10 @@
+import ast
 import struct
+from pathlib import Path
 
 import pytest
 
-from gdpipe import pipeline
+from gdpipe import GdError, cli, pipeline
 from gdpipe.cli import main
 from gdpipe.traces import TraceSpec, gen_synthetic, read_trace, write_trace
 
@@ -190,21 +192,49 @@ class TestRun:
 
 
 class TestBench:
-    def test_single_and_multi_thread_totals_agree(self, tmp_path, capsys):
+    def test_static_totals(self, tmp_path, capsys):
         path, _ = make_trace(tmp_path, chunk_count=400)
         assert main(["bench", str(path)]) == 0
-        single = capsys.readouterr().out.splitlines()
-        assert main(["bench", str(path), "--threads", "3"]) == 0
-        multi = capsys.readouterr().out.splitlines()
-        assert single[0].split("threads=")[0] == multi[0].split("threads=")[0]
-        assert "encoded_bytes=1200" in single[0]
-        assert single[-1] == multi[-1] == "roundtrip_ok=1"
+        lines = capsys.readouterr().out.splitlines()
+        assert "encoded_bytes=1200" in lines[0]
+        assert lines[-1] == "roundtrip_ok=1"
 
     def test_reports_positive_throughput(self, tmp_path, capsys):
         path, _ = make_trace(tmp_path, chunk_count=200)
         assert main(["bench", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "encode_chunks_per_s=" in out and "decode_gbit_per_s=" in out
+        fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+        for stage in ("bases", "replay"):
+            assert float(fields[f"{stage}_s"]) >= 0
+            assert float(fields[f"{stage}_chunks_per_s"]) > 0
+            assert float(fields[f"{stage}_gbit_per_s"]) > 0
+
+    def test_encoded_bytes_match_static_run(self, tmp_path, capsys):
+        # 40 bases against 16 IDs: the replay learns and evicts past the
+        # preload, which a plain table lookup does not count
+        path, _ = make_trace(tmp_path, seed=7, chunk_count=2000, distinct_bases=40)
+        report = tmp_path / "report.txt"
+        assert main(["run", str(path), "--mode", "static", "--id-width", "4",
+                     "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["bench", str(path), "--id-width", "4"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (f"chunks=2000 raw_bytes=64000 "
+                         f"encoded_bytes={parse_report(report)['encoded_bytes']}")
+
+    def test_corrupt_restore_exits_1(self, tmp_path, capsys, monkeypatch):
+        path, _ = make_trace(tmp_path)
+        real = pipeline.decode_batch
+
+        def flip_one_bit(rows, syndrome, msb, code):
+            out = bytearray(real(rows, syndrome, msb, code))
+            out[0] ^= 0x80
+            return bytes(out)
+
+        monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
+        assert main(["bench", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invariant violation")
+        assert "roundtrip_ok" not in captured.out
 
 
 class TestExportPayloads:
@@ -220,3 +250,30 @@ class TestExportPayloads:
         out = tmp_path / "payloads.bin"
         assert main(["export-payloads", str(path), str(out)]) == 0
         assert out.stat().st_size == 0
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gdpipe")):
+            parts = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [p for a in node.names if a.name.startswith("gdpipe")
+                     for p in a.name.split(".")]
+        else:
+            continue
+        private += [p for p in parts if p.startswith("_")]
+    assert private == []
+
+
+def test_any_package_error_exits_2(capsys, monkeypatch):
+    class NewError(GdError):
+        pass
+
+    def fail(path):
+        raise NewError("not handled by name anywhere")
+
+    monkeypatch.setattr(cli, "read_trace", fail)
+    assert main(["run", "whatever", "--mode", "static"]) == 2
+    assert capsys.readouterr().err == "error: not handled by name anywhere\n"

@@ -226,6 +226,13 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="line 1"):
             DictionaryState.load(path, id_width=3, basis_bits=11)
 
+    def test_load_rejects_non_utf8(self, tmp_path):
+        # used to escape as a bare UnicodeDecodeError
+        path = tmp_path / "snap.txt"
+        path.write_bytes(b"\xff\xfe\x00junk")
+        with pytest.raises(SnapshotError, match="snap.txt"):
+            DictionaryState.load(path, id_width=3)
+
 
 def test_conservation_under_many_learns():
     state = DictionaryState(id_width=6)
