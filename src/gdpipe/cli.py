@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
         if args.snapshot_in:
             snap = DictionaryState.load(args.snapshot_in, args.id_width,
                                         basis_bits=(1 << m) - 1 - m)
-            preload = [basis for _, basis in snap.items()]
+            preload = snap.items()[::-1]  # each entry at its own ID, highest first
         else:
             preload = compute_bases(trace, config)
     holder: list[DictionaryState] = []

@@ -9,6 +9,8 @@ are clamped internally so the stored clock never runs backwards.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
@@ -42,6 +44,9 @@ class DictionaryState:
     Fresh states hand out IDs in ascending order; once the pool is empty,
     learn() evicts the entry with the smallest (last_used, id) pair and
     recycles its identifier.
+
+    Every basis is checked against basis_bits when it is learned or
+    loaded, so the read methods check their argument only on a miss.
     """
 
     def __init__(self, id_width: int = 15, basis_bits: int | None = None):
@@ -59,6 +64,13 @@ class DictionaryState:
         self._free: list[range] = [range(self.capacity)]
         self._free_count = self.capacity
         self._clock = 0
+        # eviction candidates: an (id, basis) heap holding every entry whose
+        # last_used is _oldest_stamp, the smallest stamp of any entry. Hits
+        # (which move an entry to a later stamp) and evictions leave stale
+        # records that _pick_victim drops; once none is left it rebuilds
+        # the heap from the next group, so each eviction costs O(log group)
+        self._oldest: list[tuple[int, int]] = []
+        self._oldest_stamp = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -79,6 +91,22 @@ class DictionaryState:
             self._free[-1] = r[1:]
         self._free_count -= 1
         return r.start
+
+    def _take(self, id_: int) -> None:
+        """Remove a given ID from the pool; ValueError if it is not free.
+
+        The ranges after the one split are shifted, so IDs taken highest
+        first cost O(1) each, and lowest first O(free ranges) each.
+        """
+        free = self._free  # disjoint ranges, descending starts
+        j = len(free) - 1
+        if j < 0 or id_ not in free[j]:
+            j = bisect_left(free, -id_, key=lambda r: -r.start)
+            if j == len(free) or id_ not in free[j]:
+                raise ValueError(f"id {id_} is not a free id of the {self.id_width}-bit space")
+        r = free[j]
+        free[j:j + 1] = [p for p in (range(id_ + 1, r.stop), range(r.start, id_)) if p]
+        self._free_count -= 1
 
     def items(self):
         """(id, basis) pairs sorted by id."""
@@ -103,41 +131,49 @@ class DictionaryState:
     def lookup_id(self, basis: int, now) -> int | None:
         """Encoder-side read: returns the ID on a hit and refreshes its
         recency; a miss returns None and mutates nothing."""
-        self._check_basis(basis)
         e = self._entries.get(basis)
         if e is None:
+            self._check_basis(basis)
             return None
-        e[1] = self._tick(now)
+        if now > self._clock:
+            self._clock = now
+        e[1] = self._clock
         self._entries.move_to_end(basis)
         return e[0]
 
     def lookup_basis(self, id_: int) -> int | None:
         """Decoder-side read: no recency refresh (the compression table's
         TTL lives on the encoder side)."""
-        if not 0 <= id_ < self.capacity:
+        basis = self._reverse.get(id_)
+        if basis is None and not 0 <= id_ < self.capacity:
             raise ValueError(f"id does not fit in {self.id_width} bits")
-        return self._reverse.get(id_)
+        return basis
 
-    def learn(self, basis: int, now) -> LearnOutcome:
+    def learn(self, basis: int, now, id_: int | None = None) -> LearnOutcome:
         """Map a new basis, evicting the LRU entry if no ID is free.
 
         Ties on last_used evict the smaller ID. Raises AlreadyKnown for a
         basis that is already mapped (duplicate digest; callers treat it
-        as a benign no-op).
+        as a benign no-op). A given `id_` must be free (ValueError
+        otherwise) and is taken instead of the lowest free ID.
         """
         self._check_basis(basis)
         if basis in self._entries:
             raise AlreadyKnown(f"basis already mapped to id {self._entries[basis][0]}")
-        now = self._tick(now)
         evicted = None
-        if self._free_count:
+        if id_ is not None:
+            self._take(id_)
+        elif self._free_count:
             id_ = self._take_free()
         else:
             id_, evicted = self._pick_victim()
             del self._entries[evicted]
             del self._reverse[id_]
+        now = self._tick(now)
         self._entries[basis] = [id_, now]
         self._reverse[id_] = basis
+        if now == self._oldest_stamp:
+            heapq.heappush(self._oldest, (id_, basis))
         return LearnOutcome(assigned=id_, evicted_basis=evicted)
 
     def peek_victim(self) -> tuple[int, int] | None:
@@ -148,17 +184,27 @@ class DictionaryState:
         return self._pick_victim()
 
     def _pick_victim(self) -> tuple[int, int]:
+        """The (id, basis) with the smallest (last_used, id), left at the
+        top of the _oldest heap."""
+        heap = self._oldest
+        while heap:
+            id_, basis = heap[0]
+            e = self._entries.get(basis)
+            if e is not None and e[0] == id_ and e[1] == self._oldest_stamp:
+                return id_, basis
+            heapq.heappop(heap)
         # entries are in touch order with non-decreasing last_used, so the
-        # minimal-timestamp group is a prefix; break ties by smallest id
+        # group with the smallest stamp is a prefix
         it = iter(self._entries.items())
         basis, (id_, stamp) = next(it)
-        best = (id_, basis)
+        heap.append((id_, basis))
         for b, (i, t) in it:
             if t != stamp:
                 break
-            if i < best[0]:
-                best = (i, b)
-        return best
+            heap.append((i, b))
+        heapq.heapify(heap)
+        self._oldest_stamp = stamp
+        return heap[0]
 
     # -- snapshot format: one "<id-decimal> <basis-hex>" line per entry,
     # sorted by id; used to pre-load static tables.
@@ -172,40 +218,23 @@ class DictionaryState:
     def load(cls, path, id_width: int = 15, basis_bits: int | None = None,
              now=0) -> "DictionaryState":
         state = cls(id_width=id_width, basis_bits=basis_bits)
-        seen_ids = set()
         try:
             text = Path(path).read_bytes().decode()
         except UnicodeDecodeError as exc:
             raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        entries = []
         for ln, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 id_str, basis_str = line.split()
-                id_, basis = int(id_str), int(basis_str, 16)
+                entries.append((int(id_str), int(basis_str, 16), ln))
             except ValueError:
                 raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'") from None
-            if not 0 <= id_ < state.capacity:
-                raise SnapshotError(f"line {ln}: id {id_} outside {id_width}-bit space")
-            if id_ in seen_ids:
-                raise SnapshotError(f"line {ln}: duplicate id {id_}")
-            if basis in state._entries:
-                raise SnapshotError(f"line {ln}: duplicate basis")
+        for id_, basis, ln in sorted(entries, reverse=True):  # highest first, see _take
             try:
-                state._check_basis(basis)
-            except ValueError as exc:
+                state.learn(basis, now, id_)
+            except (ValueError, AlreadyKnown) as exc:
                 raise SnapshotError(f"line {ln}: {exc}") from None
-            seen_ids.add(id_)
-            state._entries[basis] = [id_, now]
-            state._reverse[id_] = basis
-        free, lo = [], 0
-        for id_ in sorted(seen_ids):
-            if id_ > lo:
-                free.append(range(lo, id_))
-            lo = id_ + 1
-        if lo < state.capacity:
-            free.append(range(lo, state.capacity))
-        state._free = free[::-1]
-        state._free_count = state.capacity - len(seen_ids)
         state._tick(now)
         return state

@@ -70,7 +70,7 @@ def _time_ns(seconds: float, name: str) -> int:
     """A configured time in seconds as integer nanoseconds, the simulator's
     clock tick. A time off that grid (beyond float rounding) is rejected
     rather than rounded, so 1e-10 s never runs as 0."""
-    if not isfinite(seconds) or seconds < 0:
+    if not isfinite(seconds * 1e9) or seconds < 0:
         raise InvalidTime(f"{name} must be a finite time >= 0, got {seconds!r}")
     ns = _to_ns(seconds)
     if not isclose(seconds * 1e9, ns, rel_tol=1e-12, abs_tol=1e-6):
@@ -309,21 +309,27 @@ class ControlPlane:
         self._unalloc.append((basis, now_ns))
         return True
 
-    def install_now(self, basis: int, now_ns: int = 0) -> int | None:
-        """Learn and make a basis visible to both sides immediately.
+    def preload(self, items, now_ns: int = 0) -> int:
+        """Learn and make bases visible to both sides immediately.
 
-        This preloads static tables before a run; such setup is not
-        traffic and does not touch the counters. Returns the assigned ID,
-        or None if the basis was already mapped.
+        This installs a static table before a run; such setup is not
+        traffic and does not touch the counters. Each item is a basis,
+        which takes the lowest free ID (or evicts), or an (id, basis) pair,
+        which takes its own ID (ValueError if that ID is in use). Bases
+        already mapped are skipped; returns how many were added.
         """
-        if self._state.entry(basis) is not None:
-            return None
-        if self._state.free_count == 0:
-            _, victim = self._state.peek_victim()
-            self._fwd_remove(victim)
-        outcome = self._state.learn(basis, now_ns)
-        self._fwd_install(basis, outcome.assigned)
-        return outcome.assigned
+        added = 0
+        for item in items:
+            id_, basis = item if isinstance(item, tuple) else (None, item)
+            if self._state.entry(basis) is not None:
+                continue
+            if id_ is None and self._state.free_count == 0:
+                _, victim = self._state.peek_victim()
+                self._fwd_remove(victim)
+            id_ = self._state.learn(basis, now_ns, id_).assigned
+            self._fwd_install(basis, id_)
+            added += 1
+        return added
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
         """Process every digest whose phase is due; returns the (basis, id)
@@ -452,14 +458,10 @@ class Pipeline:
         self.encoder.forward.pop(basis, None)
 
     def preload(self, bases, now: float = 0.0) -> int:
-        """Install mappings for every given basis before replay (static
-        table); duplicates are skipped, counters untouched."""
-        now_ns = _time_ns(now, "preload time")
-        added = 0
-        for b in bases:
-            if self.control.install_now(b, now_ns) is not None:
-                added += 1
-        return added
+        """Install mappings for every given basis, or (id, basis) pair,
+        before replay (static table); duplicates are skipped, counters
+        untouched. See ControlPlane.preload."""
+        return self.control.preload(bases, _time_ns(now, "preload time"))
 
     def control_plane_step(self, now: float) -> list[tuple[int, int]]:
         return self.control.poll(_time_ns(now, "control-plane time"))
@@ -637,7 +639,8 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     inter-arrival `gap` seconds, control plane interleaved.
 
     Returns (restored trace, counters, (raw payload bytes, encoded payload
-    bytes)). `preload` optionally installs a static basis table first; if
+    bytes)). `preload` optionally installs a static table first, bases or
+    (id, basis) pairs as ControlPlane.preload takes them; if
     `state_out` is a list the final DictionaryState is appended to it.
     Semantically identical to Pipeline.replay: the transforms run
     vectorized for every m, the dictionary and control plane per chunk.
@@ -665,8 +668,7 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
         fwd_install=lambda b, i: forward.__setitem__(b.to_bytes(width, "big"), (i, b)),
         fwd_remove=lambda b: forward.pop(b.to_bytes(width, "big"), None))
     if preload is not None:
-        for b in preload:
-            cp.install_now(b, 0)
+        cp.preload(preload)
 
     # The forward map only ever holds mappings the reverse map also holds
     # (installs go decoder-side first, evictions drop the forward entry
@@ -705,9 +707,11 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
             if nxt is not None and nxt <= t:
                 poll(t)
                 nxt = cp.next_event_ns
-        # dropped frames decode too: their rows are the encoder's own
-        restored = decode_batch(rows, s_vec, msb_vec, code)
-        if restored != trace.payload[start * width:stop * width]:
+        # dropped frames decode too: their rows are the encoder's own. The
+        # key buffer goes first, so at most three window copies are alive.
+        del keys
+        if (decode_batch(rows, s_vec, msb_vec, code)
+                != trace.payload[start * width:stop * width]):
             raise InvariantViolation(
                 f"chunks {start}..{stop - 1} did not restore bit-identically")
 
@@ -729,6 +733,46 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     return Trace(trace.chunk_bits, payload), counters, (raw_bytes, encoded)
 
 
+def _odd_multipliers(count: int) -> np.ndarray:
+    """Fixed odd 64-bit constants from a 64-bit LCG, one per row word."""
+    out, x = [], 0
+    for _ in range(count):
+        x = (x * 6364136223846793005 + 1442695040888963407) & (2**64 - 1)
+        out.append(x | 1)
+    return np.array(out, dtype=np.uint64)
+
+
+# a row of 2^15 bits is 512 u64 words
+_ROW_HASH = _odd_multipliers(512)
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (chunks, width) uint8 array, each at its
+    first appearance, in first-appearance order.
+
+    Rows of 8 bytes or more hash to one u64 (each word times a fixed odd
+    constant, summed with wraparound); narrower rows are their own key.
+    Every row is then checked against its group's first row, and a hash
+    collision falls back to an exact bytes-keyed dedup.
+    """
+    width = rows.shape[1]
+    if width >= 8:
+        words = rows.view(np.uint64)
+        keys = words @ _ROW_HASH[:words.shape[1]]
+    else:
+        words = rows.view(f"u{width}")
+        keys = words.ravel()
+    # return_index would force a stable sort, several times slower here
+    distinct, group = np.unique(keys, return_inverse=True)
+    first = np.full(len(distinct), len(keys), dtype=np.intp)
+    np.minimum.at(first, group, np.arange(len(keys)))
+    if np.array_equal(words, words[first[group]]):
+        return rows[np.sort(first)]
+    buf = rows.tobytes()
+    seen = dict.fromkeys(buf[o:o + width] for o in range(0, len(buf), width))
+    return np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(-1, width)
+
+
 def compute_bases(trace: Trace, config: PipelineConfig) -> list[int]:
     """Distinct bases of a trace in first-appearance order (static preload)."""
     if trace.chunk_bits != config.chunk_bits:
@@ -736,7 +780,7 @@ def compute_bases(trace: Trace, config: PipelineConfig) -> list[int]:
     w = trace.chunk_nbytes
     seen: dict[bytes, None] = {}
     for _, (_, _, rows) in _windows(trace, build_code(config.m)):
-        buf = rows.tobytes()
+        buf = _distinct_rows(rows).tobytes()
         seen.update(dict.fromkeys(buf[o:o + w] for o in range(0, len(buf), w)))
     return [int.from_bytes(key, "big") for key in seen]
 

@@ -120,6 +120,19 @@ class TestRun:
                      "--snapshot-in", str(snap), "--report", str(r2)]) == 0
         assert parse_report(r1)["ratio"] == parse_report(r2)["ratio"]
 
+    def test_snapshot_keeps_its_ids(self, tmp_path):
+        path, trace = make_trace(tmp_path, chunk_count=300, distinct_bases=3, seed=32)
+        bases = pipeline.compute_bases(trace, pipeline.PipelineConfig(m=8))
+        snap_in, snap_out = tmp_path / "in.snap", tmp_path / "out.snap"
+        snap_in.write_text("".join(f"{i} {b:062x}\n" for i, b in zip((100, 200, 300), bases)))
+        plain, loaded = tmp_path / "plain.txt", tmp_path / "loaded.txt"
+        assert main(["run", str(path), "--mode", "static", "--report", str(plain)]) == 0
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap_in),
+                     "--snapshot-out", str(snap_out), "--report", str(loaded)]) == 0
+        assert snap_out.read_text() == snap_in.read_text()
+        assert parse_report(loaded)["encoded_bytes"] == parse_report(plain)["encoded_bytes"]
+        assert parse_report(loaded)["OUT_SYN_ID"] == "300"
+
     def test_gzip_bytes_included(self, tmp_path):
         path, _ = make_trace(tmp_path)
         report = tmp_path / "report.txt"
@@ -160,6 +173,15 @@ class TestRun:
         path, _ = make_trace(tmp_path)
         assert main(["run", str(path), "--mode", "dynamic", "--delay", "1e-10"]) == 2
         assert capsys.readouterr().err.startswith("error: learning_delay must be")
+
+    @pytest.mark.parametrize("flag,name", [("--gap", "inter-arrival gap"),
+                                           ("--delay", "learning_delay")])
+    def test_time_past_the_float_range_exits_2(self, tmp_path, capsys, flag, name):
+        # 1e300 s is finite, but not as nanoseconds: it used to escape as an
+        # OverflowError traceback
+        path, _ = make_trace(tmp_path)
+        assert main(["run", str(path), "--mode", "dynamic", flag, "1e300"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
 
     @pytest.mark.parametrize("claim", ["far past the file", "trailing bytes"])
     def test_header_size_mismatch_exits_2(self, tmp_path, capsys, claim):

@@ -85,6 +85,52 @@ class TestBasics:
         with pytest.raises(ValueError):
             state.lookup_id(-1, now=0)
 
+    def test_reads_check_their_argument_on_a_miss(self):
+        # the reads skip their checks on a hit; a bad argument can never
+        # hit, so it still raises however full the state is
+        state = DictionaryState(id_width=2, basis_bits=4)
+        for t, b in enumerate((1, 2, 3, 15)):
+            state.learn(b, now=t)
+        for bad in (-1, 16, 1 << 40):
+            with pytest.raises(ValueError):
+                state.lookup_id(bad, now=9)
+        for bad in (-1, state.capacity, 1 << 40):
+            with pytest.raises(ValueError):
+                state.lookup_basis(bad)
+        assert state.entry(1) == (0, 0)  # the misses touched nothing
+        assert state.lookup_id(15, now=9) == 3 and state.lookup_basis(3) == 15
+
+
+class TestLearnAtId:
+    def test_takes_the_given_id(self):
+        state = DictionaryState(id_width=3)
+        assert state.learn(10, now=0, id_=5) == LearnOutcome(5, None)
+        assert state.learn(11, now=0, id_=0).assigned == 0
+        assert state.free_ids() == (1, 2, 3, 4, 6, 7)
+        assert [state.learn(20 + t, now=1).assigned for t in range(6)] == [1, 2, 3, 4, 6, 7]
+        check_invariants(state)
+
+    @pytest.mark.parametrize("id_", [5, -1, 8])
+    def test_id_in_use_or_outside_the_space(self, id_):
+        state = DictionaryState(id_width=3)
+        state.learn(10, now=0, id_=5)
+        with pytest.raises(ValueError):
+            state.learn(11, now=4, id_=id_)
+        assert state.entry(11) is None and state.free_count == 7
+        assert state.learn(11, now=0).assigned == 0  # clock not moved to 4
+        assert state.entry(11) == (0, 0)
+
+    def test_matches_load(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("6 4\n0 1\n3 3\n2 2\n")
+        loaded = DictionaryState.load(path, id_width=3)
+        state = DictionaryState(id_width=3)
+        for id_, basis in [(6, 4), (0, 1), (3, 3), (2, 2)]:
+            state.learn(basis, now=0, id_=id_)
+        assert state.items() == loaded.items()
+        assert state.free_ids() == loaded.free_ids() == (1, 4, 5, 7)
+        assert [state.entry(b) for b in range(5)] == [loaded.entry(b) for b in range(5)]
+
 
 class TestEviction:
     def test_capacity_two_hand_simulation(self):
@@ -171,6 +217,41 @@ class TestAgainstReference:
                 out = state.learn(basis, now=t)
                 want_id, want_evicted = model.learn(basis, now=t)
                 assert (out.assigned, out.evicted_basis) == (want_id, want_evicted)
+        check_invariants(state)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("id_width", [3, 5])
+    def test_shared_timestamps_match_model(self, seed, id_width):
+        # sixteen events per timestamp: evictions choose among tie groups,
+        # and hits at the oldest timestamp keep an entry in its group
+        rng = random.Random(seed)
+        state = DictionaryState(id_width=id_width)
+        model = ReferenceModel(id_width)
+        for t in range(800):
+            now = t // 16
+            basis = rng.randrange(3 << id_width)
+            got = state.lookup_id(basis, now=now)
+            assert got == model.lookup(basis, now=now)
+            if got is None:
+                want_id, want_evicted = model.learn(basis, now=now)
+                if want_evicted is not None:
+                    assert state.peek_victim() == (want_id, want_evicted)
+                out = state.learn(basis, now=now)
+                assert (out.assigned, out.evicted_basis) == (want_id, want_evicted)
+        check_invariants(state)
+
+    def test_static_preload_ties_match_model(self):
+        # every basis learned at one timestamp, as a static preload does,
+        # then a few hits and more learns at that same timestamp
+        state = DictionaryState(id_width=4)
+        model = ReferenceModel(4)
+        rng = random.Random(3)
+        for basis in rng.sample(range(1000), 60):
+            if model.entries and rng.random() < 0.3:
+                touched = rng.choice(sorted(model.entries))
+                assert state.lookup_id(touched, now=0) == model.lookup(touched, now=0)
+            out = state.learn(basis, now=0)
+            assert (out.assigned, out.evicted_basis) == model.learn(basis, now=0)
         check_invariants(state)
 
     def test_determinism(self):

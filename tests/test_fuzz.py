@@ -1,10 +1,15 @@
 """Arbitrary bytes into every input parser: each either parses or raises a
-GdError subclass, never another exception."""
+GdError subclass, never another exception. Arbitrary flag values into the
+CLI: each run exits 0, 1 or 2, never with a traceback."""
 
+import contextlib
+import io
+import math
 import struct
 
 import pytest
 
+from gdpipe.cli import main
 from gdpipe.dictionary import DictionaryState
 from gdpipe.gdcore import GdError
 from gdpipe.pipeline import (
@@ -18,7 +23,14 @@ from gdpipe.pipeline import (
     syn_basis_nbytes,
     syn_id_nbytes,
 )
-from gdpipe.traces import TRACE_MAGIC, read_pcap_payloads, read_trace
+from gdpipe.traces import (
+    TRACE_MAGIC,
+    TraceSpec,
+    gen_synthetic,
+    read_pcap_payloads,
+    read_trace,
+    write_trace,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -101,3 +113,101 @@ def test_snapshot_load(scratch, content, id_width, basis_bits):
     except GdError:
         return
     assert state.free_count + len(state.items()) == state.capacity
+
+
+# -- the CLI's flags, end to end --------------------------------------------
+#
+# Sizes stay small: counts, bases and m are bounded so that no drawn flag
+# set allocates more than a few MB.
+
+junk = st.text(alphabet="-.e0123456789xn", max_size=6)
+small_int = st.one_of(st.integers(-3, 40), st.sampled_from([2**31, 2**64]))
+seconds = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1e-6, 3e-6, 1.77e-3, 1e-10, -1e-6, 2e-300,
+                     1e300, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=1e-3))
+
+
+def flag(name, values):
+    """Mostly [name, value], the value a drawn number or now and then junk
+    text; sometimes nothing."""
+    value = st.one_of(values.map(str), values.map(str), values.map(str), junk)
+    return st.one_of(st.just([]), *[value.map(lambda v: [name, v])] * 3)
+
+
+def exit_code(argv):
+    """main's exit code, with argparse's SystemExit counted as one; any
+    other exception propagates and fails the test."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    trace = gen_synthetic(TraceSpec(seed=4, chunk_count=80, chunk_bits=256,
+                                    distinct_bases=5, codeword_prob=0.3))
+    write_trace(trace, root / "t.gdtrace")
+    (root / "snap.txt").write_text("3 0a\n7 1b\n")
+    (root / "bad.snap").write_text("0 zz\n")
+    return root
+
+
+def trace_arg(root):
+    return st.sampled_from(["t.gdtrace", "t.gdtrace", "missing.gdtrace"]).map(
+        lambda name: [str(root / name)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_tables(data):
+    argv = ["tables"] + data.draw(flag("--m", st.integers(-2, 20)))
+    assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_gen(cli_files, data):
+    draw = data.draw
+    argv = (["gen", "--out", str(cli_files / draw(st.sampled_from(["g.gdtrace", ""])))]
+            + draw(flag("--m", st.one_of(st.integers(-2, 10), st.just(16))))
+            # always given: the default count makes a 100 MB trace
+            + ["--count", draw(st.one_of(st.integers(-3, 60).map(str), junk))]
+            + draw(flag("--seed", small_int))
+            + draw(flag("--bases", st.integers(-2, 40)))
+            + draw(flag("--codeword-prob", seconds))
+            + draw(flag("--distribution", st.sampled_from(["uniform", "round-robin"])))
+            + draw(flag("--msb", st.sampled_from(["0", "1", "random", "2"]))))
+    assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_run(cli_files, data):
+    draw = data.draw
+    snapshot = draw(st.sampled_from([None, "snap.txt", "bad.snap", "missing.snap"]))
+    argv = (["run"] + draw(trace_arg(cli_files))
+            + draw(flag("--mode", st.sampled_from(["static", "dynamic", "no-table"])))
+            + draw(flag("--delay", seconds))
+            + draw(flag("--gap", seconds))
+            + draw(flag("--id-width", small_int))
+            + draw(flag("--gzip-bytes", small_int))
+            + draw(st.sampled_from([[], ["--padding"]]))
+            + ([] if snapshot is None else ["--snapshot-in", str(cli_files / snapshot)])
+            + draw(st.sampled_from([[], ["--snapshot-out", str(cli_files / "out.snap")],
+                                    ["--report", str(cli_files / "report.txt")]])))
+    assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_bench(cli_files, data):
+    argv = (["bench"] + data.draw(trace_arg(cli_files))
+            + data.draw(flag("--id-width", small_int)))
+    assert exit_code(argv) in (0, 1, 2)

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -679,6 +680,102 @@ class TestWindowedReplay:
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         with pytest.raises(InvariantViolation, match="restore bit-identically"):
             run_pipeline(trace, CFG8, 1e-6)
+
+
+class TestHashedDedup:
+    """compute_bases dedups each window with a hashed unique that is
+    checked row by row; a hash collision falls back to exact bytes keys."""
+
+    M_VALUES = [3, 4, 5, 6, 8, 14, 15]
+
+    @staticmethod
+    def _trace(m):
+        # wide chunks get fewer of them, so every m stays a few MB
+        count = 600 if m <= 8 else 60
+        spec = TraceSpec(seed=100 + m, chunk_count=count, chunk_bits=1 << m,
+                         distinct_bases=min(9, 1 << (1 << m) - 1 - m),
+                         codeword_prob=0.3)
+        return gen_synthetic(spec), PipelineConfig(m=m)
+
+    # budget None keeps WINDOW_BYTES; collide sets every multiplier to 0,
+    # so all rows of 8 bytes or more hash alike and the fallback runs
+    @pytest.mark.parametrize("m", M_VALUES)
+    @pytest.mark.parametrize("budget", [None, "1 byte", "whole trace"])
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_matches_scalar_dedup(self, monkeypatch, m, budget, collide):
+        trace, cfg = self._trace(m)
+        want = _scalar_bases(trace, cfg)
+        assert len(want) > 1
+        if budget is not None:
+            monkeypatch.setattr(pipeline, "WINDOW_BYTES",
+                                1 if budget == "1 byte" else len(trace.payload))
+        if collide:
+            monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
+        assert compute_bases(trace, cfg) == want
+
+    def test_distinct_rows_keeps_first_appearance_order(self):
+        rows = np.array([[0] * 7 + [3], [0] * 7 + [1], [0] * 7 + [3],
+                         [9] * 8, [0] * 7 + [1]], dtype=np.uint8)
+        assert pipeline._distinct_rows(rows).tolist() == rows[[0, 1, 3]].tolist()
+
+    def test_multiplier_table_covers_the_widest_row(self):
+        widest = (1 << max(GENERATOR_REGISTRY)) // 64
+        table = pipeline._ROW_HASH
+        assert len(table) >= widest and (table & np.uint64(1)).all()
+        assert len(set(table.tolist())) == len(table)
+
+
+class TestPreloadPairs:
+    """An (id, basis) preload keeps its ID, in both engines."""
+
+    def test_keeps_snapshot_ids(self):
+        spec = TraceSpec(seed=8, chunk_count=300, chunk_bits=256,
+                         distinct_bases=4, codeword_prob=0.3)
+        trace = gen_synthetic(spec)
+        cfg = PipelineConfig(m=8, learning_delay=5e-6)
+        bases = compute_bases(trace, cfg)
+        pairs = list(zip((100, 200, 300), bases))
+        holder = []
+        fast = run_pipeline(trace, cfg, 1e-6, preload=pairs, state_out=holder)
+        pipe = Pipeline(cfg)
+        assert pipe.preload(pairs) == 3
+        slow = pipe.replay(trace, 1e-6)
+        assert holder[0].items() == pipe.state.items()
+        assert pipe.state.items()[1:] == pairs
+        assert holder[0].free_ids() == pipe.state.free_ids()
+        assert [holder[0].entry(b) for b in bases] == [pipe.state.entry(b) for b in bases]
+        assert fast[1] == slow[1] and fast[2] == slow[2]
+        assert fast[0].payload == slow[0].payload == trace.payload
+        # the fourth basis is learned at the lowest free ID
+        assert pipe.state.entry(bases[3])[0] == 0
+
+    def test_id_in_use_is_refused(self):
+        pipe = Pipeline(CFG8)
+        pipe.preload([(5, 1)])
+        with pytest.raises(ValueError, match="not a free id"):
+            pipe.preload([(5, 2)])
+        assert pipe.preload([(6, 1)]) == 0  # a mapped basis is skipped
+
+
+class TestEvictionScaling:
+    def test_static_preload_past_capacity(self):
+        # a static table twice the ID space: the preload evicts among
+        # entries that all share t=0, which used to cost a walk of the
+        # whole table per eviction: 4.4-7.0 s on a 2-vCPU Xeon VM, against
+        # under 0.2 s with the victim heap
+        w = 12
+        cfg = PipelineConfig(m=8, id_width=w)
+        spec = TraceSpec(seed=1, chunk_count=1 << (w + 2), chunk_bits=256,
+                         distinct_bases=1 << (w + 1), basis_distribution="round-robin")
+        trace = gen_synthetic(spec)
+        bases = compute_bases(trace, cfg)
+        took = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            _, counters, _ = run_pipeline(trace, cfg, 1e-6, preload=bases)
+            took.append(time.perf_counter() - t0)
+        assert counters.evictions == 10519
+        assert min(took) < 1.0, took
 
 
 def _random_config(rng):
