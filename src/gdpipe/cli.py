@@ -14,20 +14,21 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dictionary import DictionaryState
+from .dictionary import read_snapshot
 from .gdcore import GdError, build_code, format_syndrome_table
 from .pipeline import (
+    WINDOW_BYTES,
     Counters,
     InvariantViolation,
     PipelineConfig,
     compute_bases,
-    run_pipeline,
+    replay,
 )
 from .traces import (
+    TraceFile,
     TraceSpec,
     gen_synthetic,
     m_for_chunk_bits,
-    read_trace,
     write_trace,
 )
 
@@ -88,46 +89,44 @@ def _cmd_gen(args) -> int:
         basis_distribution=args.distribution,
         msb=None if args.msb == "random" else int(args.msb),
     )
-    trace = gen_synthetic(spec)
+    try:
+        trace = gen_synthetic(spec)
+    except MemoryError:
+        raise GdError(f"not enough memory for a trace of {spec.chunk_count} chunks") from None
     write_trace(trace, args.out)
     print(f"wrote {trace.chunk_count} chunks of {trace.chunk_bits} bits to {args.out}")
     return 0
 
 
-def _replay(trace, config, gap, preload, state_out=None):
-    """run_pipeline plus the checks every command applies to its result:
-    the counter identities, no decode miss, a bit-identical restore."""
-    restored, counters, (raw, encoded) = run_pipeline(
-        trace, config, gap, preload=preload, state_out=state_out)
+def _replay(source, config, gap, preload):
+    """replay, which checks every restored window bit for bit, plus the
+    counter identities and no decode miss."""
+    counters, (raw, encoded), state, _ = replay(source, config, gap, preload=preload)
     counters.verify()
     if counters.decode_miss:
         raise InvariantViolation(f"{counters.decode_miss} frames hit a decode miss")
-    if restored.payload != trace.payload:
-        raise InvariantViolation("restored trace is not bit-identical to the input")
-    return counters, raw, encoded
+    return counters, raw, encoded, state
 
 
 def _cmd_run(args) -> int:
-    trace = read_trace(args.trace)
-    m = m_for_chunk_bits(trace.chunk_bits)
-    delay = math.inf if args.mode == "no-table" else args.delay
-    config = PipelineConfig(m=m, id_width=args.id_width, learning_delay=delay,
-                            alignment_padding=args.padding)
-    preload = None
-    if args.mode == "static":
-        if args.snapshot_in:
-            snap = DictionaryState.load(args.snapshot_in, args.id_width,
+    with TraceFile(args.trace) as source:
+        m = m_for_chunk_bits(source.chunk_bits)
+        delay = math.inf if args.mode == "no-table" else args.delay
+        config = PipelineConfig(m=m, id_width=args.id_width, learning_delay=delay,
+                                alignment_padding=args.padding)
+        preload = None
+        if args.mode == "static":
+            if args.snapshot_in:  # (id, basis) pairs: each entry keeps its ID
+                preload = read_snapshot(args.snapshot_in, args.id_width,
                                         basis_bits=(1 << m) - 1 - m)
-            preload = snap.items()[::-1]  # each entry at its own ID, highest first
-        else:
-            preload = compute_bases(trace, config)
-    holder: list[DictionaryState] = []
-    counters, raw, encoded = _replay(trace, config, args.gap, preload, holder)
+            else:
+                preload = compute_bases(source, config)
+        counters, raw, encoded, state = _replay(source, config, args.gap, preload)
 
     report = RunReport(
         mode=args.mode, raw_bytes=raw, encoded_bytes=encoded,
         ratio=(encoded / raw) if raw else 0.0, counters=counters,
-        chunks=trace.chunk_count, config=config, gap=args.gap,
+        chunks=source.chunk_count, config=config, gap=args.gap,
         gzip_bytes=args.gzip_bytes)
     print(f"{args.mode}: {raw} -> {encoded} bytes "
           f"(ratio {report.ratio:.6g}, savings {100 * (1 - report.ratio):.1f}%)"
@@ -136,22 +135,22 @@ def _cmd_run(args) -> int:
     if args.report:
         Path(args.report).write_text("".join(line + "\n" for line in report.lines()))
     if args.snapshot_out:
-        holder[0].save(args.snapshot_out)
+        state.save(args.snapshot_out)
     return 0
 
 
 def _cmd_bench(args) -> int:
     """Time the two stages of `run --mode static` with default delay and gap."""
-    trace = read_trace(args.trace)
-    config = PipelineConfig(m=m_for_chunk_bits(trace.chunk_bits),
-                            id_width=args.id_width, learning_delay=DEFAULT_DELAY)
-    t0 = time.perf_counter()
-    bases = compute_bases(trace, config)
-    t1 = time.perf_counter()
-    _, raw, encoded = _replay(trace, config, DEFAULT_GAP, bases)
-    t2 = time.perf_counter()
+    with TraceFile(args.trace) as source:
+        config = PipelineConfig(m=m_for_chunk_bits(source.chunk_bits),
+                                id_width=args.id_width, learning_delay=DEFAULT_DELAY)
+        t0 = time.perf_counter()
+        bases = compute_bases(source, config)
+        t1 = time.perf_counter()
+        _, raw, encoded, _ = _replay(source, config, DEFAULT_GAP, bases)
+        t2 = time.perf_counter()
 
-    count = trace.chunk_count
+    count = source.chunk_count
     print(f"chunks={count} raw_bytes={raw} encoded_bytes={encoded}")
     for label, secs in (("bases", t1 - t0), ("replay", t2 - t1)):
         rate = count / secs if secs else float("inf")
@@ -163,9 +162,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_payloads(args) -> int:
-    trace = read_trace(args.trace)
-    Path(args.out).write_bytes(trace.payload)
-    print(f"wrote {len(trace.payload)} payload bytes to {args.out}")
+    with TraceFile(args.trace) as source, open(args.out, "wb") as out:
+        for window in source.windows(WINDOW_BYTES):
+            out.write(window)
+    print(f"wrote {source.nbytes} payload bytes to {args.out}")
     return 0
 
 

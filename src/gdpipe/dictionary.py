@@ -218,23 +218,41 @@ class DictionaryState:
     def load(cls, path, id_width: int = 15, basis_bits: int | None = None,
              now=0) -> "DictionaryState":
         state = cls(id_width=id_width, basis_bits=basis_bits)
-        try:
-            text = Path(path).read_bytes().decode()
-        except UnicodeDecodeError as exc:
-            raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        entries = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                id_str, basis_str = line.split()
-                entries.append((int(id_str), int(basis_str, 16), ln))
-            except ValueError:
-                raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'") from None
-        for id_, basis, ln in sorted(entries, reverse=True):  # highest first, see _take
-            try:
-                state.learn(basis, now, id_)
-            except (ValueError, AlreadyKnown) as exc:
-                raise SnapshotError(f"line {ln}: {exc}") from None
+        for id_, basis in read_snapshot(path, id_width, basis_bits):
+            state.learn(basis, now, id_)
         state._tick(now)
         return state
+
+
+def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
+                  ) -> list[tuple[int, int]]:
+    """A snapshot file's (id, basis) pairs, highest ID first (the cheap
+    order for learn and ControlPlane.preload), checked as DictionaryState
+    .load would install them: SnapshotError names the first bad line."""
+    check = DictionaryState(id_width, basis_bits)._check_basis
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    entries = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            id_str, basis_str = line.split()
+            entries.append((int(id_str), int(basis_str, 16), ln))
+        except ValueError:
+            raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'") from None
+    owner: dict[int, int] = {}  # basis -> id
+    prev = None
+    for id_, basis, ln in sorted(entries, reverse=True):
+        try:
+            check(basis)
+            if basis in owner:
+                raise AlreadyKnown(f"basis already mapped to id {owner[basis]}")
+            if id_ == prev or not 0 <= id_ < (1 << id_width):
+                raise ValueError(f"id {id_} is not a free id of the {id_width}-bit space")
+        except (ValueError, AlreadyKnown) as exc:
+            raise SnapshotError(f"line {ln}: {exc}") from None
+        owner[basis] = prev = id_
+    return [(id_, basis) for basis, id_ in owner.items()]

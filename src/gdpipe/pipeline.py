@@ -617,48 +617,39 @@ def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
     return rows.tobytes()
 
 
-# Trace bytes per window: run_pipeline and compute_bases transform one
-# window at a time, so their memory beyond the trace itself stays constant.
+# Trace bytes per window: the replay and compute_bases transform one
+# window at a time, so their memory beyond the input stays constant.
 WINDOW_BYTES = 1 << 20
 
 
-def _windows(trace: Trace, code: HammingCode):
-    """(first chunk index, encode_batch result) for each window of the
-    trace, in order; a window holds at least one chunk."""
-    width = trace.chunk_nbytes
-    step = max(1, WINDOW_BYTES // width)
-    view = memoryview(trace.payload)
-    for start in range(0, trace.chunk_count, step):
-        yield start, encode_batch(view[start * width:(start + step) * width], code)
+def _windows(source, code: HammingCode):
+    """(first chunk index, window, encode_batch result) for each window of
+    a Trace or TraceFile, in order; a window holds at least one chunk."""
+    start = 0
+    for window in source.windows(WINDOW_BYTES):
+        yield start, window, encode_batch(window, code)
+        start += len(window) // source.chunk_nbytes
 
 
-def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
-                 preload=None, state_out: list | None = None,
-                 ) -> tuple[Trace, Counters, tuple[int, int]]:
-    """Replay a trace through encoder -> link -> decoder at fixed
-    inter-arrival `gap` seconds, control plane interleaved.
+def replay(source, config: PipelineConfig, gap: float, *, preload=None,
+           ) -> tuple[Counters, tuple[int, int], DictionaryState, list[int]]:
+    """The replay engine: run_pipeline for a Trace or an open TraceFile.
 
-    Returns (restored trace, counters, (raw payload bytes, encoded payload
-    bytes)). `preload` optionally installs a static table first, bases or
-    (id, basis) pairs as ControlPlane.preload takes them; if
-    `state_out` is a list the final DictionaryState is appended to it.
-    Semantically identical to Pipeline.replay: the transforms run
-    vectorized for every m, the dictionary and control plane per chunk.
-
-    The trace streams through in windows of WINDOW_BYTES, with the
-    dictionary and control plane carried across them. Each restored window
-    is checked against its input window (InvariantViolation on any
-    difference), so the returned trace shares the input's payload unless a
-    decode miss dropped frames.
+    Returns (counters, (raw payload bytes, encoded payload bytes), final
+    DictionaryState, indices of the chunks a decode miss dropped). The
+    input streams through windows of WINDOW_BYTES, dictionary and control
+    plane carried across them, and each restored window must equal its
+    input window (InvariantViolation otherwise). A TraceFile's windows
+    share one buffer, so memory does not grow with the trace.
     """
-    if trace.chunk_bits != config.chunk_bits:
+    if source.chunk_bits != config.chunk_bits:
         raise LengthMismatch(
-            f"trace holds {trace.chunk_bits}-bit chunks, config m={config.m} "
+            f"trace holds {source.chunk_bits}-bit chunks, config m={config.m} "
             f"needs {config.chunk_bits}")
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
-    width = trace.chunk_nbytes
-    count = trace.chunk_count
+    width = source.chunk_nbytes
+    count = source.chunk_count
 
     state = DictionaryState(config.id_width, basis_bits=code.k)
     counters = Counters()
@@ -682,7 +673,7 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
-    for start, (msb_vec, s_vec, rows) in _windows(trace, code):
+    for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
         keys = rows.tobytes()
         stop = start + len(rows)
         for i, o in zip(range(start, stop), range(0, len(keys), width)):
@@ -708,10 +699,10 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
                 poll(t)
                 nxt = cp.next_event_ns
         # dropped frames decode too: their rows are the encoder's own. The
-        # key buffer goes first, so at most three window copies are alive.
+        # key buffer goes first, so few window copies are alive at once, and
+        # the window is compared as bytes: bytes != memoryview is 20x slower
         del keys
-        if (decode_batch(rows, s_vec, msb_vec, code)
-                != trace.payload[start * width:stop * width]):
+        if decode_batch(rows, s_vec, msb_vec, code) != bytes(window):
             raise InvariantViolation(
                 f"chunks {start}..{stop - 1} did not restore bit-identically")
 
@@ -721,16 +712,34 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     counters.in_syn_basis += n_sb
     counters.in_syn_id += n_si
     counters.restored_raw += count - len(dropped)
+    encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
+    return counters, (count * width, encoded), state, dropped
 
+
+def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
+                 preload=None, state_out: list | None = None,
+                 ) -> tuple[Trace, Counters, tuple[int, int]]:
+    """Replay a trace through encoder -> link -> decoder at fixed
+    inter-arrival `gap` seconds, control plane interleaved.
+
+    Returns (restored trace, counters, (raw payload bytes, encoded payload
+    bytes)). `preload` optionally installs a static table first, bases or
+    (id, basis) pairs as ControlPlane.preload takes them; if
+    `state_out` is a list the final DictionaryState is appended to it.
+    Semantically identical to Pipeline.replay: the transforms run
+    vectorized for every m, the dictionary and control plane per chunk.
+    The trace streams through `replay`, whose per-window check makes the
+    returned trace share the input's payload unless a decode miss dropped
+    frames.
+    """
+    counters, sizes, state, dropped = replay(trace, config, gap, preload=preload)
     payload = trace.payload
     if dropped:
-        chunks = np.frombuffer(payload, dtype=np.uint8).reshape(count, width)
+        chunks = np.frombuffer(payload, dtype=np.uint8).reshape(-1, trace.chunk_nbytes)
         payload = np.delete(chunks, dropped, axis=0).tobytes()
-    raw_bytes = count * width
-    encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
     if state_out is not None:
         state_out.append(state)
-    return Trace(trace.chunk_bits, payload), counters, (raw_bytes, encoded)
+    return Trace(trace.chunk_bits, payload), counters, sizes
 
 
 def _odd_multipliers(count: int) -> np.ndarray:
@@ -773,13 +782,13 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(-1, width)
 
 
-def compute_bases(trace: Trace, config: PipelineConfig) -> list[int]:
-    """Distinct bases of a trace in first-appearance order (static preload)."""
+def compute_bases(trace, config: PipelineConfig) -> list[int]:
+    """Distinct bases of a Trace or TraceFile, in order of first appearance."""
     if trace.chunk_bits != config.chunk_bits:
         raise LengthMismatch("trace chunk size does not match config")
     w = trace.chunk_nbytes
     seen: dict[bytes, None] = {}
-    for _, (_, _, rows) in _windows(trace, build_code(config.m)):
+    for _, _, (_, _, rows) in _windows(trace, build_code(config.m)):
         buf = _distinct_rows(rows).tobytes()
         seen.update(dict.fromkeys(buf[o:o + w] for o in range(0, len(buf), w)))
     return [int.from_bytes(key, "big") for key in seen]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,8 +67,8 @@ class TraceSpec:
     def validate(self) -> "HammingCode":
         if not 0 <= self.seed < (1 << 64):
             raise InvalidSpec("seed must fit in 64 bits")
-        if self.chunk_count < 0:
-            raise InvalidSpec("chunk_count must be >= 0")
+        if not 0 <= self.chunk_count < (1 << 32):
+            raise InvalidSpec("chunk_count must be in 0..2^32-1, the trace header's range")
         try:
             code = build_code(m_for_chunk_bits(self.chunk_bits))
         except GdError as exc:
@@ -120,6 +121,13 @@ class Trace:
 
     def chunks(self):
         return (self.chunk(i) for i in range(self.chunk_count))
+
+    def windows(self, nbytes: int):
+        """The payload in order, as memoryviews of whole chunks, at most
+        nbytes each but at least one chunk."""
+        step = max(1, nbytes // self.chunk_nbytes) * self.chunk_nbytes
+        view = memoryview(self.payload)
+        return (view[o:o + step] for o in range(0, len(view), step))
 
     @classmethod
     def from_chunks(cls, chunk_bits: int, chunks) -> "Trace":
@@ -228,24 +236,58 @@ def write_trace(trace: Trace, path) -> None:
         f.write(trace.payload)
 
 
+class TraceFile(AbstractContextManager):
+    """An open GDTRACE file whose header agrees with its size. The body is
+    read a window at a time (see windows), so it is never held whole."""
+
+    def __init__(self, path):
+        self.path, self._file = path, open(path, "rb")
+        try:
+            head = self._file.read(_HEADER.size)
+            if len(head) < _HEADER.size or head[:8] != TRACE_MAGIC:
+                raise BadMagic(f"{path}: not a GDTRACE file")
+            _, self.chunk_bits, self.chunk_count = _HEADER.unpack(head)
+            if self.chunk_bits <= 0 or self.chunk_bits % 8:
+                raise TruncatedFile(f"{path}: invalid chunk_bits {self.chunk_bits}")
+            self.chunk_nbytes = self.chunk_bits // 8
+            self.nbytes = self.chunk_count * self.chunk_nbytes
+            self._check_size(os.fstat(self._file.fileno()).st_size - _HEADER.size)
+        except BaseException:
+            self.close()
+            raise
+
+    def _check_size(self, found: int) -> None:
+        if found != self.nbytes:
+            raise TruncatedFile(f"{self.path}: expected {self.nbytes} payload bytes, "
+                                f"found {found}")
+
+    def windows(self, nbytes: int):
+        """As Trace.windows, but every view is into one reused buffer, which
+        readinto refills when the next view is drawn."""
+        step = max(1, nbytes // self.chunk_nbytes) * self.chunk_nbytes
+        buf = memoryview(bytearray(min(step, self.nbytes)))
+        self._file.seek(_HEADER.size)
+        for off in range(0, self.nbytes, step):
+            view = buf[:min(step, self.nbytes - off)]
+            got = self._file.readinto(view)
+            if got < len(view):  # the file shrank since the header check
+                self._check_size(off + got)
+            yield view
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_trace(path) -> Trace:
-    """Load a GDTRACE file; the body is read once, straight into the
+    """Load a GDTRACE file whole; the body is read once, straight into the
     trace's payload, after its size is checked against the header."""
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size or head[:8] != TRACE_MAGIC:
-            raise BadMagic(f"{path}: not a GDTRACE file")
-        _, chunk_bits, chunk_count = _HEADER.unpack(head)
-        if chunk_bits <= 0 or chunk_bits % 8:
-            raise TruncatedFile(f"{path}: invalid chunk_bits {chunk_bits}")
-        expect = chunk_count * (chunk_bits // 8)
-        found = os.fstat(f.fileno()).st_size - _HEADER.size
-        if found == expect:
-            body = f.read(expect)
-            found = len(body)
-    if found != expect:
-        raise TruncatedFile(f"{path}: expected {expect} payload bytes, found {found}")
-    return Trace(chunk_bits, body)
+    with TraceFile(path) as source:
+        body = source._file.read(source.nbytes)
+        source._check_size(len(body))
+    return Trace(source.chunk_bits, body)
 
 
 # -- pcap import, limited to extracting fixed-size Ethernet payloads

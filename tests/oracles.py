@@ -56,3 +56,27 @@ def brute_force_nearest_codeword(body: int, m: int, low_bits: int) -> int:
             if remainder_of_int(body ^ (1 << i), n, m, low_bits) == 0]
     assert len(hits) == 1, f"{len(hits)} codewords neighbor body {body:#x}"
     return hits[0]
+
+
+def snapshot_by_learning(text: str, id_width: int, basis_bits):
+    """The snapshot loader as it was before the file was parsed once into
+    checked pairs: every line goes through learn, highest ID first. Returns
+    the (id, basis) pairs, highest ID first, or the SnapshotError text."""
+    from gdpipe.dictionary import AlreadyKnown, DictionaryState
+
+    state = DictionaryState(id_width, basis_bits)
+    entries = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            id_str, basis_str = line.split()
+            entries.append((int(id_str), int(basis_str, 16), ln))
+        except ValueError:
+            return f"line {ln}: expected '<id> <basis-hex>'"
+    for id_, basis, ln in sorted(entries, reverse=True):
+        try:
+            state.learn(basis, 0, id_)
+        except (ValueError, AlreadyKnown) as exc:
+            return f"line {ln}: {exc}"
+    return state.items()[::-1]

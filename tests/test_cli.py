@@ -1,9 +1,14 @@
 import ast
+import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gdpipe
 from gdpipe import GdError, cli, pipeline
 from gdpipe.cli import main
 from gdpipe.traces import TraceSpec, gen_synthetic, read_trace, write_trace
@@ -62,6 +67,24 @@ class TestGen:
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path / "x"), "--bases", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("count", [2**32, 10**13])
+    def test_count_past_the_header_field_exits_2(self, tmp_path, capsys, count):
+        # 10^13 chunks used to end in a numpy MemoryError traceback
+        out = tmp_path / "x.gdtrace"
+        assert main(["gen", "--out", str(out), "--count", str(count)]) == 2
+        assert capsys.readouterr().err.startswith("error: chunk_count must be in 0..2^32-1")
+        assert not out.exists()
+
+    def test_failed_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "gen_synthetic", no_memory)
+        out = tmp_path / "x.gdtrace"
+        assert main(["gen", "--out", str(out), "--count", "5"]) == 2
+        assert capsys.readouterr().err == "error: not enough memory for a trace of 5 chunks\n"
+        assert not out.exists()
 
     def test_msb_flag(self, tmp_path):
         out = tmp_path / "t.gdtrace"
@@ -259,6 +282,95 @@ class TestBench:
         assert "roundtrip_ok" not in captured.out
 
 
+class TestStreamedRun:
+    """run, bench and export-payloads read the trace file a window at a
+    time instead of loading it; their outputs match the in-memory path."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "static"],
+        ["--mode", "static", "--padding"],
+        ["--mode", "dynamic", "--delay", "20e-6", "--gap", "1e-6"],
+        ["--mode", "dynamic", "--padding", "--id-width", "3", "--delay", "5e-6"],
+        ["--mode", "no-table"],
+        ["--mode", "no-table", "--padding"],
+    ])
+    def test_matches_in_memory_run_pipeline(self, tmp_path, monkeypatch, flags):
+        path, trace = make_trace(tmp_path, seed=5, chunk_count=700, distinct_bases=12)
+        args = cli.build_parser().parse_args(["run", str(path), *flags])
+        config = pipeline.PipelineConfig(
+            m=8, id_width=args.id_width, alignment_padding=args.padding,
+            learning_delay=math.inf if args.mode == "no-table" else args.delay)
+        preload = pipeline.compute_bases(trace, config) if args.mode == "static" else None
+        holder = []
+        restored, counters, (raw, encoded) = pipeline.run_pipeline(
+            trace, config, args.gap, preload=preload, state_out=holder)
+        assert restored.payload == trace.payload
+        want = cli.RunReport(mode=args.mode, raw_bytes=raw, encoded_bytes=encoded,
+                             ratio=encoded / raw, counters=counters, chunks=700,
+                             config=config, gap=args.gap)
+        want_snap = tmp_path / "want.snap"
+        holder[0].save(want_snap)
+
+        # seven chunks and a bit: many windows, the last one partial
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 7 * 32 + 5)
+        report, snap = tmp_path / "report.txt", tmp_path / "got.snap"
+        assert main(["run", str(path), *flags, "--report", str(report),
+                     "--snapshot-out", str(snap)]) == 0
+        assert report.read_text() == "".join(line + "\n" for line in want.lines())
+        assert snap.read_bytes() == want_snap.read_bytes()
+        if args.mode == "dynamic" and args.id_width == 3:
+            assert counters.evictions > 0
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--mode", "static"], ["run", "--mode", "dynamic"], ["bench"],
+        ["export-payloads"]])
+    def test_file_truncated_after_the_header_check_exits_2(
+            self, tmp_path, monkeypatch, capsys, command):
+        # 64000 body bytes, cut to 32000 once the header has been checked
+        path, _ = make_trace(tmp_path, chunk_count=2000)
+        real = cli.TraceFile
+
+        def open_then_truncate(p):
+            source = real(p)
+            os.truncate(p, 16 + 1000 * 32)
+            return source
+
+        monkeypatch.setattr(cli, "TraceFile", open_then_truncate)
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 100 * 32)
+        monkeypatch.setattr(cli, "WINDOW_BYTES", 100 * 32)
+        argv = command[:1] + [str(path)] + command[1:]
+        if command == ["export-payloads"]:
+            argv.append(str(tmp_path / "payloads.bin"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: expected 64000 payload bytes, found 32000\n"
+        assert "roundtrip_ok" not in captured.out
+
+    def test_static_run_memory_follows_the_window_not_the_trace(self, tmp_path):
+        # A small launcher starts each run: a child's peak RSS counts the
+        # memory of the process it was forked from, and pytest's is large.
+        launcher = ("import os, subprocess, sys\n"
+                    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                    "_, status, usage = os.wait4(proc.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(gdpipe.__file__).parents[1]))
+
+        def peak_mb(chunks):
+            path, _ = make_trace(tmp_path, name=f"{chunks}.gdtrace", chunk_count=chunks,
+                                 distinct_bases=100)
+            out = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-m", "gdpipe.cli",
+                 "run", str(path), "--mode", "static"],
+                env=env, capture_output=True, text=True, check=True).stdout
+            code, kb = map(int, out.split())
+            assert code == 0
+            return kb / 1024
+
+        # 2 MiB and 16 MiB of chunks: loading the body would add 14 MiB
+        small, large = peak_mb(1 << 16), peak_mb(1 << 19)
+        assert large - small < 4, (small, large)
+
+
 class TestExportPayloads:
     def test_export_matches_concatenation(self, tmp_path):
         path, trace = make_trace(tmp_path, chunk_count=50)
@@ -266,6 +378,14 @@ class TestExportPayloads:
         assert main(["export-payloads", str(path), str(out)]) == 0
         assert out.read_bytes() == trace.payload
         assert out.stat().st_size == 50 * 32
+
+    def test_export_streams_in_windows(self, tmp_path, monkeypatch, capsys):
+        path, trace = make_trace(tmp_path, chunk_count=50)
+        monkeypatch.setattr(cli, "WINDOW_BYTES", 7 * 32)
+        out = tmp_path / "payloads.bin"
+        assert main(["export-payloads", str(path), str(out)]) == 0
+        assert out.read_bytes() == trace.payload
+        assert capsys.readouterr().out == f"wrote 1600 payload bytes to {out}\n"
 
     def test_empty_trace_empty_file(self, tmp_path):
         path, _ = make_trace(tmp_path, chunk_count=0)
@@ -296,6 +416,6 @@ def test_any_package_error_exits_2(capsys, monkeypatch):
     def fail(path):
         raise NewError("not handled by name anywhere")
 
-    monkeypatch.setattr(cli, "read_trace", fail)
+    monkeypatch.setattr(cli, "TraceFile", fail)
     assert main(["run", "whatever", "--mode", "static"]) == 2
     assert capsys.readouterr().err == "error: not handled by name anywhere\n"

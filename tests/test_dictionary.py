@@ -3,7 +3,13 @@ import tracemalloc
 
 import pytest
 
-from gdpipe.dictionary import AlreadyKnown, DictionaryState, LearnOutcome, SnapshotError
+from gdpipe.dictionary import (
+    AlreadyKnown,
+    DictionaryState,
+    LearnOutcome,
+    SnapshotError,
+    read_snapshot,
+)
 
 
 class ReferenceModel:
@@ -299,6 +305,31 @@ class TestSnapshot:
         path.write_text(text)
         with pytest.raises(SnapshotError):
             DictionaryState.load(path, id_width=3)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\n", "line 1: expected '<id> <basis-hex>'"),
+        ("99 0a\n", "line 1: id 99 is not a free id of the 3-bit space"),
+        ("1 0a\n\n1 0b\n", "line 1: id 1 is not a free id of the 3-bit space"),
+        ("1 0b\n1 0a\n", "line 2: id 1 is not a free id of the 3-bit space"),
+        ("1 0a\n2 0a\n", "line 1: basis already mapped to id 2"),
+        ("2 0a\n1 0a\n", "line 2: basis already mapped to id 2"),
+        ("3 1\n-1 2\n", "line 2: id -1 is not a free id of the 3-bit space"),
+    ])
+    def test_read_snapshot_names_the_line(self, tmp_path, text, message):
+        # the line learn would have failed on, highest ID first
+        path = tmp_path / "snap.txt"
+        path.write_text(text)
+        with pytest.raises(SnapshotError) as exc:
+            read_snapshot(path, id_width=3)
+        assert str(exc.value) == message
+        with pytest.raises(SnapshotError) as exc:
+            DictionaryState.load(path, id_width=3)
+        assert str(exc.value) == message
+
+    def test_read_snapshot_pairs_highest_id_first(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("1 0a\n\n6 0c\n5 0b\n")
+        assert read_snapshot(path, id_width=3) == [(6, 0x0C), (5, 0x0B), (1, 0x0A)]
 
     @pytest.mark.parametrize("text", ["0 800\n", "0 -1\n"])
     def test_load_rejects_basis_outside_basis_bits(self, tmp_path, text):

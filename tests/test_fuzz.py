@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from gdpipe.cli import main
-from gdpipe.dictionary import DictionaryState
+from gdpipe.dictionary import DictionaryState, SnapshotError, read_snapshot
 from gdpipe.gdcore import GdError
 from gdpipe.pipeline import (
     RAW,
@@ -35,6 +35,7 @@ from gdpipe.traces import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracles import snapshot_by_learning  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None)
 SIZES = {RAW: raw_nbytes, SYN_BASIS: syn_basis_nbytes, SYN_ID: syn_id_nbytes}
@@ -113,6 +114,20 @@ def test_snapshot_load(scratch, content, id_width, basis_bits):
     except GdError:
         return
     assert state.free_count + len(state.items()) == state.capacity
+
+
+@FUZZ
+@given(lines=st.lists(snapshot_line, max_size=8), id_width=st.integers(1, 6),
+       basis_bits=st.sampled_from([None, 11]))
+def test_read_snapshot_fails_like_learning_each_line(scratch, lines, id_width, basis_bits):
+    # duplicate IDs and bases included: preload alone would skip a basis
+    text = "\n".join(lines)
+    scratch.write_text(text)
+    try:
+        got = read_snapshot(scratch, id_width, basis_bits)
+    except SnapshotError as exc:
+        got = str(exc)
+    assert got == snapshot_by_learning(text, id_width, basis_bits)
 
 
 # -- the CLI's flags, end to end --------------------------------------------

@@ -10,6 +10,7 @@ from gdpipe.traces import (
     EmptyInput,
     InvalidSpec,
     Trace,
+    TraceFile,
     TraceSpec,
     TruncatedFile,
     chunk_file,
@@ -34,6 +35,7 @@ class TestTraceSpec:
         dict(seed=-1),
         dict(seed=1 << 64),
         dict(chunk_count=-1),
+        dict(chunk_count=1 << 32),  # the header field is a u32
         dict(chunk_bits=100),
         dict(chunk_bits=4),      # 2^2, no registered code
         dict(distinct_bases=0),
@@ -209,6 +211,71 @@ class TestTraceFiles:
                          + bytes(32))
         with pytest.raises(TruncatedFile, match="found 32"):
             read_trace(path)
+
+
+class TestStreamedTraceFile:
+    """TraceFile checks the header as read_trace does, then reads the body
+    a window at a time into one reused buffer."""
+
+    @staticmethod
+    def _file(tmp_path, count=50):
+        trace = gen_synthetic(TraceSpec(seed=6, chunk_count=count, chunk_bits=256,
+                                        distinct_bases=3))
+        path = tmp_path / "t.gdtrace"
+        write_trace(trace, path)
+        return path, trace
+
+    # below one chunk, one chunk, seven chunks (a partial last window), all
+    @pytest.mark.parametrize("nbytes", [1, 32, 7 * 32 + 5, 50 * 32, 1 << 20])
+    def test_windows_match_in_memory_windows(self, tmp_path, nbytes):
+        path, trace = self._file(tmp_path)
+        want = [bytes(w) for w in trace.windows(nbytes)]
+        with TraceFile(path) as source:
+            assert (source.chunk_bits, source.chunk_count) == (256, 50)
+            for _ in range(2):  # a second pass starts at the body again
+                got = [bytes(w) for w in source.windows(nbytes)]
+                assert got == want
+        assert b"".join(want) == trace.payload
+        assert all(len(w) % 32 == 0 and 0 < len(w) <= max(nbytes, 32) for w in want)
+
+    def test_windows_share_one_buffer(self, tmp_path):
+        path, _ = self._file(tmp_path)
+        with TraceFile(path) as source:
+            views = source.windows(7 * 32)
+            first, second = next(views), next(views)
+            assert first.obj is second.obj
+            assert len(first.obj) == 7 * 32
+
+    def test_empty_body_has_no_windows(self, tmp_path):
+        path, _ = self._file(tmp_path, count=0)
+        with TraceFile(path) as source:
+            assert list(source.windows(1 << 20)) == []
+
+    def test_truncated_after_the_header_check(self, tmp_path):
+        # past the first 8 KiB, which the header read may have buffered
+        path, _ = self._file(tmp_path, count=400)
+        with TraceFile(path) as source:
+            path.write_bytes(path.read_bytes()[:16 + 300 * 32 + 3])
+            windows = source.windows(100 * 32)
+            assert [len(next(windows)) for _ in range(3)] == [100 * 32] * 3
+            with pytest.raises(TruncatedFile, match="expected 12800 payload bytes, found 9603"):
+                next(windows)
+
+    @pytest.mark.parametrize("data,error", [
+        (b"GD", BadMagic),
+        (b"NOTMAGIC" + bytes(8), BadMagic),
+        (struct.pack("<8sII", b"GDTRACE\0", 12, 1) + bytes(1), TruncatedFile),
+        (struct.pack("<8sII", b"GDTRACE\0", 256, 2) + bytes(63), TruncatedFile),
+        (struct.pack("<8sII", b"GDTRACE\0", 256, 2) + bytes(65), TruncatedFile),
+    ])
+    def test_header_checks_match_read_trace(self, tmp_path, data, error):
+        path = tmp_path / "t.gdtrace"
+        path.write_bytes(data)
+        with pytest.raises(error) as streamed:
+            TraceFile(path)
+        with pytest.raises(error) as whole:
+            read_trace(path)
+        assert str(streamed.value) == str(whole.value)
 
 
 class TestPcapImport:
