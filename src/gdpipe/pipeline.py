@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from math import inf, isclose, isfinite, isinf
 
 import numpy as np
@@ -641,6 +642,12 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     plane carried across them, and each restored window must equal its
     input window (InvariantViolation otherwise). A TraceFile's windows
     share one buffer, so memory does not grow with the trace.
+
+    A window whose distinct basis rows all hit the forward map, with no
+    control-plane event due before its last chunk, resolves each distinct
+    row once and refreshes recency with one lookup_id per chunk; every
+    other window runs the per-chunk event loop. Both give the same
+    counters, bytes and final dictionary as Pipeline.replay.
     """
     if source.chunk_bits != config.chunk_bits:
         raise LengthMismatch(
@@ -674,34 +681,63 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     poll = cp.poll
     nxt = cp.next_event_ns
     for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
-        keys = rows.tobytes()
         stop = start + len(rows)
-        for i, o in zip(range(start, stop), range(0, len(keys), width)):
-            t = i * gap_ns
-            key = keys[o:o + width]
-            hit = get_fwd(key)
-            if hit is None:
-                n_sb += 1
-                if submit(int.from_bytes(key, "big"), t):
-                    nxt = cp.next_event_ns
-            else:
-                id_, basis_int = hit
-                lookup_id(basis_int, t)  # refresh recency
-                n_si += 1
+        hits = None
+        # With no control-plane event due before the window's last chunk, a
+        # window whose distinct rows all hit can neither submit nor poll, so
+        # both maps stay put: each distinct row resolves once, and only the
+        # recency refresh runs per chunk
+        if forward and (nxt is None or nxt > (stop - 1) * gap_ns):
+            first, group = _group_rows(rows)
+            distinct = rows[first].tobytes()
+            hits = [get_fwd(distinct[o:o + width]) for o in range(0, len(distinct), width)]
+        if hits is not None and None not in hits:
+            missed = []
+            for g, (id_, basis_int) in enumerate(hits):
                 value = lookup_basis(id_)
                 if value is None:  # unreachable with decoder-first installs
-                    counters.decode_miss += 1
-                    dropped.append(i)
+                    missed.append(g)
                 elif value != basis_int:
                     raise InvariantViolation(
                         f"id {id_} resolves to a basis other than the encoder's")
-            if nxt is not None and nxt <= t:
-                poll(t)
-                nxt = cp.next_event_ns
+            if missed:
+                lost = np.flatnonzero(np.isin(group, missed)) + start
+                counters.decode_miss += len(lost)
+                dropped.extend(lost.tolist())
+            # refresh recency chunk by chunk, exhausted by a zero-length deque
+            bases = [basis_int for _, basis_int in hits]
+            times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
+                     else repeat(0, len(rows)))
+            deque(map(lookup_id, map(bases.__getitem__, group.tolist()), times), maxlen=0)
+            n_si += len(rows)
+        else:
+            keys = rows.tobytes()
+            for i, o in zip(range(start, stop), range(0, len(keys), width)):
+                t = i * gap_ns
+                key = keys[o:o + width]
+                hit = get_fwd(key)
+                if hit is None:
+                    n_sb += 1
+                    if submit(int.from_bytes(key, "big"), t):
+                        nxt = cp.next_event_ns
+                else:
+                    id_, basis_int = hit
+                    lookup_id(basis_int, t)  # refresh recency
+                    n_si += 1
+                    value = lookup_basis(id_)
+                    if value is None:
+                        counters.decode_miss += 1
+                        dropped.append(i)
+                    elif value != basis_int:
+                        raise InvariantViolation(
+                            f"id {id_} resolves to a basis other than the encoder's")
+                if nxt is not None and nxt <= t:
+                    poll(t)
+                    nxt = cp.next_event_ns
         # dropped frames decode too: their rows are the encoder's own. The
-        # key buffer goes first, so few window copies are alive at once, and
+        # key buffers go first, so few window copies are alive at once, and
         # the window is compared as bytes: bytes != memoryview is 20x slower
-        del keys
+        keys = group = None
         if decode_batch(rows, s_vec, msb_vec, code) != bytes(window):
             raise InvariantViolation(
                 f"chunks {start}..{stop - 1} did not restore bit-identically")
@@ -727,10 +763,11 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     (id, basis) pairs as ControlPlane.preload takes them; if
     `state_out` is a list the final DictionaryState is appended to it.
     Semantically identical to Pipeline.replay: the transforms run
-    vectorized for every m, the dictionary and control plane per chunk.
-    The trace streams through `replay`, whose per-window check makes the
-    returned trace share the input's payload unless a decode miss dropped
-    frames.
+    vectorized for every m, and the dictionary and control plane run per
+    chunk, or once per distinct basis in a window of all hits (see
+    `replay`). The trace streams through `replay`, whose per-window check
+    makes the returned trace share the input's payload unless a decode
+    miss dropped frames.
     """
     counters, sizes, state, dropped = replay(trace, config, gap, preload=preload)
     payload = trace.payload
@@ -755,14 +792,15 @@ def _odd_multipliers(count: int) -> np.ndarray:
 _ROW_HASH = _odd_multipliers(512)
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (chunks, width) uint8 array, each at its
-    first appearance, in first-appearance order.
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a (chunks, width) uint8 array, grouped: (first,
+    group), where group g's first row is rows[first[g]], groups are
+    numbered in first-appearance order and row i is in group group[i].
 
     Rows of 8 bytes or more hash to one u64 (each word times a fixed odd
     constant, summed with wraparound); narrower rows are their own key.
     Every row is then checked against its group's first row, and a hash
-    collision falls back to an exact bytes-keyed dedup.
+    collision falls back to exact bytes keys.
     """
     width = rows.shape[1]
     if width >= 8:
@@ -776,10 +814,13 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     first = np.full(len(distinct), len(keys), dtype=np.intp)
     np.minimum.at(first, group, np.arange(len(keys)))
     if np.array_equal(words, words[first[group]]):
-        return rows[np.sort(first)]
+        order = np.argsort(first)  # a permutation; its argsort inverts it
+        return first[order], np.argsort(order)[group]
     buf = rows.tobytes()
-    seen = dict.fromkeys(buf[o:o + width] for o in range(0, len(buf), width))
-    return np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(-1, width)
+    ids: dict[bytes, int] = {}
+    group = np.fromiter((ids.setdefault(buf[o:o + width], len(ids))
+                         for o in range(0, len(buf), width)), np.intp, len(rows))
+    return np.unique(group, return_index=True)[1], group
 
 
 def compute_bases(trace, config: PipelineConfig) -> list[int]:
@@ -789,7 +830,7 @@ def compute_bases(trace, config: PipelineConfig) -> list[int]:
     w = trace.chunk_nbytes
     seen: dict[bytes, None] = {}
     for _, _, (_, _, rows) in _windows(trace, build_code(config.m)):
-        buf = _distinct_rows(rows).tobytes()
+        buf = rows[_group_rows(rows)[0]].tobytes()
         seen.update(dict.fromkeys(buf[o:o + w] for o in range(0, len(buf), w)))
     return [int.from_bytes(key, "big") for key in seen]
 

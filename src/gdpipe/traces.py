@@ -295,25 +295,30 @@ def read_trace(path) -> Trace:
 _PCAP_GLOBAL = struct.Struct("<IHHiIII")
 _PCAP_RECORD = struct.Struct("<IIII")
 _ETH_HEADER_LEN = 14
+# the magic as a little-endian u32 -> byte order of the file's header
+# fields: microsecond and nanosecond timestamps, written either way round
+_PCAP_BYTE_ORDER = {0xA1B2C3D4: "<", 0xA1B23C4D: "<", 0xD4C3B2A1: ">", 0x4D3CB2A1: ">"}
 
 
 def read_pcap_payloads(path, chunk_bits: int) -> Trace:
-    """Rebuild a trace from a little-endian pcap of Ethernet frames whose
-    payloads are exactly chunk_bits wide."""
+    """Rebuild a trace from a pcap of Ethernet frames whose payloads are
+    exactly chunk_bits wide, in either byte order, with microsecond or
+    nanosecond timestamps."""
     data = Path(path).read_bytes()
     if len(data) < _PCAP_GLOBAL.size:
         raise BadMagic(f"{path}: too short for a pcap header")
     magic = _PCAP_GLOBAL.unpack_from(data)[0]
-    if magic != 0xA1B2C3D4:
+    if magic not in _PCAP_BYTE_ORDER:
         raise BadMagic(f"{path}: unsupported pcap magic 0x{magic:08x}")
+    record = struct.Struct(_PCAP_BYTE_ORDER[magic] + "IIII")
     w = chunk_bits // 8
     off = _PCAP_GLOBAL.size
     parts = []
     while off < len(data):
-        if off + _PCAP_RECORD.size > len(data):
+        if off + record.size > len(data):
             raise TruncatedFile(f"{path}: truncated packet record")
-        _, _, incl, _ = _PCAP_RECORD.unpack_from(data, off)
-        off += _PCAP_RECORD.size
+        _, _, incl, _ = record.unpack_from(data, off)
+        off += record.size
         if off + incl > len(data):
             raise TruncatedFile(f"{path}: packet data runs past end of file")
         if incl != _ETH_HEADER_LEN + w:

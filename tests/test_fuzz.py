@@ -84,12 +84,13 @@ record = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
 
 @FUZZ
 @given(chunk_bits=st.sampled_from([8, 16, 256]), records=st.lists(record, max_size=5),
-       tail=st.binary(max_size=20))
-def test_read_pcap_payloads(scratch, chunk_bits, records, tail):
-    data = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+       tail=st.binary(max_size=20), order=st.sampled_from("<>"),
+       magic=st.sampled_from([0xA1B2C3D4, 0xA1B23C4D]))
+def test_read_pcap_payloads(scratch, chunk_bits, records, tail, order, magic):
+    data = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
     for sec, usec, incl, frame in records:
         incl = len(frame) if incl is None else incl  # None: a consistent length
-        data += struct.pack("<IIII", sec, usec, incl, len(frame)) + frame
+        data += struct.pack(order + "IIII", sec, usec, incl, len(frame)) + frame
     scratch.write_bytes(data + tail)
     try:
         trace = read_pcap_payloads(scratch, chunk_bits)

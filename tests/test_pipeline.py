@@ -596,12 +596,14 @@ def _window_case(mode):
     return trace, cfg, preload
 
 
-def _scalar_bases(trace, cfg):
+def _chunk_bases(trace, cfg):
+    """Each chunk's basis, by the scalar codec."""
     code = build_code(cfg.m)
-    seen = {}
-    for chunk in trace.chunks():
-        seen.setdefault(gd_encode(split_chunk(chunk, code)[1], code)[1].value, None)
-    return list(seen)
+    return [gd_encode(split_chunk(chunk, code)[1], code)[1].value for chunk in trace.chunks()]
+
+
+def _scalar_bases(trace, cfg):
+    return list(dict.fromkeys(_chunk_bases(trace, cfg)))
 
 
 @functools.cache
@@ -648,22 +650,25 @@ class TestWindowedReplay:
         if mode == "static":
             assert got.out_syn_id > 0 and got.out_syn_basis > 0
 
+    # static windows are all hits: the miss is counted per group of chunks
     @pytest.mark.parametrize("chunks", [1, 7])
-    def test_decode_miss_across_windows(self, monkeypatch, chunks):
+    def test_decode_miss_across_windows(self, monkeypatch, dict_calls, chunks):
         spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
         trace = gen_synthetic(spec)
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", chunks * trace.chunk_nbytes)
         bases = compute_bases(trace, CFG8)
-        real = DictionaryState.lookup_basis
-        monkeypatch.setattr(DictionaryState, "lookup_basis",
-                            lambda self, id_: None if id_ == 1 else real(self, id_))
-        fast = run_pipeline(trace, CFG8, 1e-6, preload=bases)
-        pipe = Pipeline(CFG8)
-        pipe.preload(bases)
-        slow = pipe.replay(trace, 1e-6)
-        assert 0 < fast[1].decode_miss < 60
-        assert fast[1] == slow[1] and fast[2] == slow[2]
-        assert fast[0].payload == slow[0].payload
+        real = DictionaryState.lookup_basis  # counted by dict_calls
+
+        def miss_on_id_1(self, id_):
+            basis = real(self, id_)
+            return None if id_ == 1 else basis
+
+        monkeypatch.setattr(DictionaryState, "lookup_basis", miss_on_id_1)
+        counters = _replay_against_scalar(trace, CFG8, 1e-6, bases, dict_calls)
+        assert dict_calls["lookup_basis"] == _distinct_per_window(trace, CFG8, chunks)
+        lost = [i for i, b in enumerate(_chunk_bases(trace, CFG8)) if b == bases[1]]
+        assert counters.decode_miss == len(lost) > 0
+        assert pipeline.replay(trace, CFG8, 1e-6, preload=bases)[3] == lost
 
     @pytest.mark.parametrize("chunks", [1, 7, 1000])
     def test_corrupt_restore_is_an_invariant_violation(self, monkeypatch, chunks):
@@ -680,6 +685,145 @@ class TestWindowedReplay:
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         with pytest.raises(InvariantViolation, match="restore bit-identically"):
             run_pipeline(trace, CFG8, 1e-6)
+
+
+@pytest.fixture
+def dict_calls(monkeypatch):
+    """Counts DictionaryState.lookup_id and lookup_basis calls, wrapping
+    whatever those methods are when the fixture is set up."""
+    calls = dict.fromkeys(("lookup_id", "lookup_basis"), 0)
+    for name in calls:
+        def counted(self, *args, _real=getattr(DictionaryState, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(DictionaryState, name, counted)
+    return calls
+
+
+def _pattern_trace(pattern: str) -> Trace:
+    """A trace whose i-th chunk has basis pattern[i] (one letter per
+    basis), each occurrence of a basis one of 16 different chunks of it."""
+    letters = sorted(set(pattern))
+    n = len(letters)
+    src = gen_synthetic(TraceSpec(seed=77, chunk_count=16 * n, chunk_bits=256,
+                                  distinct_bases=n, codeword_prob=0.3,
+                                  basis_distribution="round-robin"))
+    w = src.chunk_nbytes
+    seen = dict.fromkeys(letters, 0)
+    parts = []
+    for ch in pattern:
+        j = letters.index(ch) + n * (seen[ch] % 16)
+        seen[ch] += 1
+        parts.append(src.payload[j * w:(j + 1) * w])
+    return Trace(src.chunk_bits, b"".join(parts))
+
+
+def _replay_against_scalar(trace, cfg, gap, preload=None, calls=None):
+    """run_pipeline and Pipeline.replay must agree on the counters, the
+    sizes, the restored payload and the whole final dictionary: entries
+    with last_used, touch order, clock and free IDs. Returns the vector
+    run's counters; `calls`, if given, is zeroed before the vector run,
+    which runs last."""
+    pipe = Pipeline(cfg)
+    if preload is not None:
+        pipe.preload(preload)
+    slow = pipe.replay(trace, gap)
+    if calls is not None:
+        calls.update(dict.fromkeys(calls, 0))
+    holder = []
+    fast = run_pipeline(trace, cfg, gap, preload=preload, state_out=holder)
+    assert fast[1] == slow[1]
+    assert fast[2] == slow[2]
+    assert fast[0].payload == slow[0].payload
+    got, want = holder[0], pipe.state
+    assert got.items() == want.items()
+    assert got.free_ids() == want.free_ids()
+    bases = _scalar_bases(trace, cfg)
+    assert [got.entry(b) for b in bases] == [want.entry(b) for b in bases]
+    assert list(got._entries.items()) == list(want._entries.items())
+    assert got._clock == want._clock
+    fast[1].verify()
+    return fast[1]
+
+
+def _distinct_per_window(trace, cfg, per):
+    bases = _chunk_bases(trace, cfg)
+    return sum(len(set(bases[i:i + per])) for i in range(0, len(bases), per))
+
+
+class TestAllHitWindows:
+    """A window whose distinct rows all hit, with no control-plane event
+    due before its last chunk, resolves each distinct basis once; the
+    results must equal the scalar Pipeline's all the same."""
+
+    PER = 8  # chunks per window
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
+
+    # basis B is first seen at chunk 3, so its install falls due 12 or 13
+    # chunks later: at the last chunk of window 1 (which must then run
+    # chunk by chunk) or at the first chunk of window 2 (so window 1 is
+    # all hits). Chunk 16 is B: compressed only if the install came first.
+    PATTERN = "AAAB" + "A" * 12 + "B" + "AB" * 12
+
+    @pytest.mark.parametrize("delay, resolves", [(12, 7 + 8 + 2 + 2 + 2 + 1),
+                                                 (13, 7 + 1 + 7 + 2 + 2 + 1)])
+    def test_event_due_at_a_window_boundary(self, dict_calls, delay, resolves):
+        trace = _pattern_trace(self.PATTERN)
+        cfg = PipelineConfig(m=8, learning_delay=delay * 1e-6)
+        a = _chunk_bases(trace, cfg)[0]
+        counters = _replay_against_scalar(trace, cfg, 1e-6, [a], dict_calls)
+        assert counters.installs == 1
+        assert counters.out_syn_basis == (1 if delay == 12 else 2)
+        assert dict_calls["lookup_basis"] == resolves
+        assert dict_calls["lookup_id"] == counters.out_syn_id
+
+    @pytest.mark.parametrize("lead", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gap", [1e-6, 2.5e-6])
+    def test_dynamic_run_whose_later_windows_all_hit(self, monkeypatch, dict_calls,
+                                                     lead, gap):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 32 * 32)
+        trace = gen_synthetic(TraceSpec(seed=31, chunk_count=600, chunk_bits=256,
+                                        distinct_bases=5, codeword_prob=0.3))
+        cfg = PipelineConfig(m=8, learning_delay=7e-6, decoder_install_lead=lead)
+        counters = _replay_against_scalar(trace, cfg, gap, calls=dict_calls)
+        assert counters.installs == 5 and counters.out_syn_basis > 0
+        # the windows after learning settles resolve at most 5 of 32 rows
+        assert dict_calls["lookup_basis"] < counters.out_syn_id // 2
+        assert dict_calls["lookup_id"] == counters.out_syn_id
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-6])
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_static_table(self, monkeypatch, dict_calls, gap, collide):
+        # zero multipliers hash every row alike, so the exact bytes-key
+        # grouping runs inside the all-hit path
+        if collide:
+            monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
+        trace = gen_synthetic(TraceSpec(seed=32, chunk_count=300, chunk_bits=256,
+                                        distinct_bases=6, codeword_prob=0.3))
+        cfg = PipelineConfig(m=8)
+        bases = compute_bases(trace, cfg)
+        counters = _replay_against_scalar(trace, cfg, gap, bases, dict_calls)
+        assert counters.out_syn_id == 300
+        assert dict_calls["lookup_basis"] == _distinct_per_window(trace, cfg, self.PER)
+        assert dict_calls["lookup_id"] == 300
+
+
+def test_static_replay_resolves_each_basis_once_per_window(monkeypatch, dict_calls):
+    """On a multi-window static trace the decoder resolves each distinct
+    basis once per window, while the encoder still refreshes recency once
+    per SYN_ID frame: lookup_id runs exactly OUT_SYN_ID times."""
+    per = 256
+    monkeypatch.setattr(pipeline, "WINDOW_BYTES", per * 32)
+    trace = gen_synthetic(TraceSpec(seed=34, chunk_count=2000, chunk_bits=256,
+                                    distinct_bases=7))
+    cfg = PipelineConfig(m=8)
+    _, counters, _ = run_pipeline(trace, cfg, 1e-6, preload=compute_bases(trace, cfg))
+    assert counters.out_syn_id == 2000
+    assert dict_calls["lookup_id"] == counters.out_syn_id
+    assert dict_calls["lookup_basis"] == _distinct_per_window(trace, cfg, per) == 8 * 7
 
 
 class TestHashedDedup:
@@ -713,10 +857,19 @@ class TestHashedDedup:
             monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
         assert compute_bases(trace, cfg) == want
 
+    ROWS = np.array([[0] * 7 + [3], [0] * 7 + [1], [0] * 7 + [3],
+                     [9] * 8, [0] * 7 + [1]], dtype=np.uint8)
+
     def test_distinct_rows_keeps_first_appearance_order(self):
-        rows = np.array([[0] * 7 + [3], [0] * 7 + [1], [0] * 7 + [3],
-                         [9] * 8, [0] * 7 + [1]], dtype=np.uint8)
-        assert pipeline._distinct_rows(rows).tolist() == rows[[0, 1, 3]].tolist()
+        first, group = pipeline._group_rows(self.ROWS)
+        assert first.tolist() == [0, 1, 3]
+        assert group.tolist() == [0, 1, 0, 2, 1]
+
+    def test_grouping_survives_a_hash_collision(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
+        first, group = pipeline._group_rows(self.ROWS)
+        assert first.tolist() == [0, 1, 3]
+        assert group.tolist() == [0, 1, 0, 2, 1]
 
     def test_multiplier_table_covers_the_widest_row(self):
         widest = (1 << max(GENERATOR_REGISTRY)) // 64

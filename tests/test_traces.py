@@ -295,6 +295,46 @@ class TestPcapImport:
         with pytest.raises(BadMagic):
             read_pcap_payloads(path, 256)
 
+    @staticmethod
+    def _pcap(order, magic, payloads):
+        """A pcap written field by field in byte order `order`."""
+        data = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+        for i, payload in enumerate(payloads):
+            pkt = bytes(12) + b"\x88\xb5" + payload
+            data += struct.pack(order + "IIII", i, 999_999_999, len(pkt), len(pkt)) + pkt
+        return data
+
+    @pytest.mark.parametrize("order, magic", [
+        pytest.param("<", 0xA1B2C3D4, id="us-little"),
+        pytest.param("<", 0xA1B23C4D, id="ns-little"),
+        pytest.param(">", 0xA1B2C3D4, id="us-big"),
+        pytest.param(">", 0xA1B23C4D, id="ns-big"),
+    ])
+    def test_every_pcap_magic(self, tmp_path, order, magic):
+        trace = gen_synthetic(TraceSpec(seed=5, chunk_count=6, chunk_bits=256,
+                                        distinct_bases=2))
+        payloads = [trace.payload[i * 32:(i + 1) * 32] for i in range(6)]
+        path = tmp_path / "t.pcap"
+        path.write_bytes(self._pcap(order, magic, payloads))
+        assert read_pcap_payloads(path, 256).payload == trace.payload
+
+    @pytest.mark.parametrize("magic", [0x0A0D0D0A, 0xA1B2C3D5, 0x4D3C2B1A, 0], ids=hex)
+    def test_other_magics_are_refused(self, tmp_path, magic):
+        path = tmp_path / "t.pcap"
+        path.write_bytes(self._pcap("<", magic, [bytes(32)]))
+        with pytest.raises(BadMagic, match=f"0x{magic:08x}"):
+            read_pcap_payloads(path, 256)
+
+    @pytest.mark.parametrize("cut, message", [(10, "truncated packet record"),
+                                              (20, "runs past end of file")])
+    def test_truncated_byte_swapped_file(self, tmp_path, cut, message):
+        data = self._pcap(">", 0xA1B23C4D, [bytes(32), bytes(32)])
+        # the second record loses all but `cut` bytes of header and packet
+        path = tmp_path / "t.pcap"
+        path.write_bytes(data[:24 + 62 + cut])
+        with pytest.raises(TruncatedFile, match=message):
+            read_pcap_payloads(path, 256)
+
     def test_wrong_payload_size(self, tmp_path):
         path = tmp_path / "t.pcap"
         write_pcap([Frame(RAW, bytes(16), 0.0)], path)
