@@ -153,8 +153,8 @@ class DictionaryState:
         """Map a new basis, evicting the LRU entry if no ID is free.
 
         Ties on last_used evict the smaller ID. Raises AlreadyKnown for a
-        basis that is already mapped (duplicate digest; callers treat it
-        as a benign no-op). A given `id_` must be free (ValueError
+        basis that is already mapped (the control plane checks first and
+        drops such a digest). A given `id_` must be free (ValueError
         otherwise) and is taken instead of the lowest free ID.
         """
         self._check_basis(basis)

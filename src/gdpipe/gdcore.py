@@ -154,9 +154,6 @@ class HammingCode:
     generator: GeneratorPolynomial
     syndrome_table: dict[int, int] = field(repr=False)
 
-    def position_of(self, syndrome: int) -> int:
-        return self.syndrome_table[syndrome]
-
 
 @dataclass(frozen=True, slots=True)
 class EncodedChunk:

@@ -15,14 +15,14 @@ without off-by-one install ticks).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from math import inf, isclose, isfinite, isinf
 
 import numpy as np
 
-from .dictionary import DictionaryState
+from .dictionary import DictionaryState, LearnOutcome
 from .gdcore import (
     GENERATOR_REGISTRY,
     BitChunk,
@@ -59,8 +59,8 @@ class InvariantViolation(GdError):
 
 
 class InvalidTime(GdError, ValueError):
-    """A time value is NaN, negative, infinite where it must be finite, or
-    not a whole number of nanoseconds."""
+    """A time value is NaN, negative, infinite where it must be finite, not
+    a whole number of nanoseconds, or past what its format can hold."""
 
 
 def _to_ns(seconds: float) -> int:
@@ -77,6 +77,13 @@ def _time_ns(seconds: float, name: str) -> int:
     if not isclose(seconds * 1e9, ns, rel_tol=1e-12, abs_tol=1e-6):
         raise InvalidTime(f"{name} must be a whole number of nanoseconds, got {seconds!r}")
     return ns
+
+
+def _check_chunk_bits(source, config: PipelineConfig) -> None:
+    if source.chunk_bits != config.chunk_bits:
+        raise LengthMismatch(
+            f"trace holds {source.chunk_bits}-bit chunks, config m={config.m} "
+            f"needs {config.chunk_bits}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,21 +125,17 @@ class Counters:
     evictions: int = 0
     decode_miss: int = 0
 
-    _ORDER = ("raw_in", "out_syn_basis", "out_syn_id", "in_syn_basis",
-              "in_syn_id", "restored_raw", "digests", "installs",
-              "evictions", "decode_miss")
-
     def as_dict(self) -> dict[str, int]:
-        return {name.upper(): getattr(self, name) for name in self._ORDER}
+        return {f.name.upper(): getattr(self, f.name) for f in fields(self)}
 
     def report(self) -> str:
         """One "NAME count" line per classification."""
         return "\n".join(f"{name} {value}" for name, value in self.as_dict().items())
 
     def verify(self) -> None:
-        for name in self._ORDER:
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"{name} went negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise InvariantViolation(f"{f.name} went negative")
         if self.raw_in != self.out_syn_basis + self.out_syn_id:
             raise InvariantViolation("RAW_IN != OUT_SYN_BASIS + OUT_SYN_ID")
         if self.restored_raw != self.in_syn_basis + self.in_syn_id - self.decode_miss:
@@ -260,24 +263,23 @@ def parse_frame(kind: int, payload: bytes, config: PipelineConfig):
 # -- control plane ----------------------------------------------------------
 
 class ControlPlane:
-    """Digest queue plus two-phase mapping installation.
+    """Digest queue plus two-phase installs: the only writer of both switch tables.
 
     Phase 1 (at emitted + lead*delay): allocate an ID via the shared
     dictionary -- this is the decoder-side install, since the decoder reads
-    the shared reverse map directly. Phase 2 (at emitted + delay): make the
-    forward mapping visible to the encoder. Evictions clear the encoder
-    side first so no frame is ever compressed against a dying ID.
+    the shared reverse map directly. Phase 2 (at emitted + delay): add the
+    mapping to `forward`, the encoder's basis -> ID table. Evictions clear
+    the encoder side first so no frame is ever compressed against a dying ID.
 
     The plane is polled after each arrival, so an install becomes effective
     for the traffic *after* the first arrival at or past its ready time.
     """
 
     def __init__(self, state: DictionaryState, counters: Counters,
-                 config: PipelineConfig, fwd_install, fwd_remove):
+                 config: PipelineConfig):
         self._state = state
         self._counters = counters
-        self._fwd_install = fwd_install
-        self._fwd_remove = fwd_remove
+        self.forward: dict[int, int] = {}  # basis -> id, as the encoder sees it
         if isinf(config.learning_delay):
             self._enc_delay = self._dec_delay = None
         else:
@@ -310,6 +312,16 @@ class ControlPlane:
         self._unalloc.append((basis, now_ns))
         return True
 
+    def _learn(self, basis: int, now_ns: int, id_: int | None = None,
+               ) -> LearnOutcome | None:
+        """Learn a basis, dropping the LRU victim's forward entry first if
+        no ID is free; None, changing nothing, if the basis is mapped."""
+        if self._state.entry(basis) is not None:
+            return None
+        if id_ is None and self._state.free_count == 0:
+            self.forward.pop(self._state.peek_victim()[1], None)
+        return self._state.learn(basis, now_ns, id_)
+
     def preload(self, items, now_ns: int = 0) -> int:
         """Learn and make bases visible to both sides immediately.
 
@@ -322,14 +334,10 @@ class ControlPlane:
         added = 0
         for item in items:
             id_, basis = item if isinstance(item, tuple) else (None, item)
-            if self._state.entry(basis) is not None:
-                continue
-            if id_ is None and self._state.free_count == 0:
-                _, victim = self._state.peek_victim()
-                self._fwd_remove(victim)
-            id_ = self._state.learn(basis, now_ns, id_).assigned
-            self._fwd_install(basis, id_)
-            added += 1
+            outcome = self._learn(basis, now_ns, id_)
+            if outcome is not None:
+                self.forward[basis] = outcome.assigned
+                added += 1
         return added
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
@@ -339,11 +347,12 @@ class ControlPlane:
             return []
         while self._unalloc and self._unalloc[0][1] + self._dec_delay <= now_ns:
             basis, emit_ns = self._unalloc.popleft()
-            if self._state.free_count == 0:
-                _, victim = self._state.peek_victim()
-                self._fwd_remove(victim)
+            outcome = self._learn(basis, now_ns)
+            if outcome is None:  # preloaded while its digest waited
+                self._pending.discard(basis)
+                continue
+            if outcome.evicted_basis is not None:  # basis 0 is a basis too
                 self._counters.evictions += 1
-            outcome = self._state.learn(basis, now_ns)
             self._alloc.append((basis, emit_ns, outcome.assigned))
         completed = []
         while self._alloc and self._alloc[0][1] + self._enc_delay <= now_ns:
@@ -351,7 +360,7 @@ class ControlPlane:
             self._pending.discard(basis)
             cur = self._state.entry(basis)
             if cur is not None and cur[0] == id_:
-                self._fwd_install(basis, id_)
+                self.forward[basis] = id_
                 self._counters.installs += 1
                 completed.append((basis, id_))
         return completed
@@ -370,7 +379,7 @@ class EncoderNode:
         self.state = state
         self.counters = counters
         self.control = control
-        self.forward: dict[int, int] = {}  # visible basis -> id map
+        self.forward = control.forward  # read here, written by the control plane
 
     def process(self, frame: Frame, now: float | None = None,
                 ) -> tuple[Frame, Digest | None]:
@@ -378,7 +387,7 @@ class EncoderNode:
             raise MalformedFrame("encoder expects RAW frames")
         chunk = parse_frame(RAW, frame.payload, self.config)
         ts = frame.timestamp if now is None else now
-        now_ns = _to_ns(ts)
+        now_ns = _time_ns(ts, "frame time")
         msb, body = split_chunk(chunk, self.code)
         syndrome, basis = gd_encode(body, self.code)
         self.counters.raw_in += 1
@@ -443,20 +452,13 @@ class Pipeline:
         self.code = build_code(config.m)
         self.state = DictionaryState(config.id_width, basis_bits=self.code.k)
         self.counters = Counters()
-        self.control = ControlPlane(self.state, self.counters, config,
-                                    self._fwd_install, self._fwd_remove)
+        self.control = ControlPlane(self.state, self.counters, config)
         self.encoder = EncoderNode(config, self.code, self.state,
                                    self.counters, self.control)
         self.decoder = DecoderNode(config, self.code, self.state, self.counters)
         self.wire_frames: list[Frame] | None = [] if collect_frames else None
         self._last_ns = 0
         self.encoded_bytes = 0
-
-    def _fwd_install(self, basis: int, id_: int):
-        self.encoder.forward[basis] = id_
-
-    def _fwd_remove(self, basis: int):
-        self.encoder.forward.pop(basis, None)
 
     def preload(self, bases, now: float = 0.0) -> int:
         """Install mappings for every given basis, or (id, basis) pair,
@@ -492,10 +494,7 @@ class Pipeline:
         return BitChunk.from_bytes(restored.payload)
 
     def replay(self, trace: Trace, gap: float) -> tuple[Trace, Counters, tuple[int, int]]:
-        if trace.chunk_bits != self.config.chunk_bits:
-            raise LengthMismatch(
-                f"trace holds {trace.chunk_bits}-bit chunks, config m={self.config.m} "
-                f"needs {self.config.chunk_bits}")
+        _check_chunk_bits(trace, self.config)
         gap_ns = _time_ns(gap, "inter-arrival gap")
         out_chunks = []
         for i in range(trace.chunk_count):
@@ -649,10 +648,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     other window runs the per-chunk event loop. Both give the same
     counters, bytes and final dictionary as Pipeline.replay.
     """
-    if source.chunk_bits != config.chunk_bits:
-        raise LengthMismatch(
-            f"trace holds {source.chunk_bits}-bit chunks, config m={config.m} "
-            f"needs {config.chunk_bits}")
+    _check_chunk_bits(source, config)
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
     width = source.chunk_nbytes
@@ -660,11 +656,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
 
     state = DictionaryState(config.id_width, basis_bits=code.k)
     counters = Counters()
-    forward: dict[bytes, tuple[int, int]] = {}  # basis row -> (id, basis int)
-    cp = ControlPlane(
-        state, counters, config,
-        fwd_install=lambda b, i: forward.__setitem__(b.to_bytes(width, "big"), (i, b)),
-        fwd_remove=lambda b: forward.pop(b.to_bytes(width, "big"), None))
+    cp = ControlPlane(state, counters, config)
     if preload is not None:
         cp.preload(preload)
 
@@ -676,28 +668,30 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     dropped: list[int] = []
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
-    get_fwd = forward.get
+    get_fwd = cp.forward.get
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
     for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
         stop = start + len(rows)
-        hits = None
+        ids = None
         # With no control-plane event due before the window's last chunk, a
         # window whose distinct rows all hit can neither submit nor poll, so
         # both maps stay put: each distinct row resolves once, and only the
         # recency refresh runs per chunk
-        if forward and (nxt is None or nxt > (stop - 1) * gap_ns):
+        if cp.forward and (nxt is None or nxt > (stop - 1) * gap_ns):
             first, group = _group_rows(rows)
             distinct = rows[first].tobytes()
-            hits = [get_fwd(distinct[o:o + width]) for o in range(0, len(distinct), width)]
-        if hits is not None and None not in hits:
+            bases = [int.from_bytes(distinct[o:o + width], "big")
+                     for o in range(0, len(distinct), width)]
+            ids = list(map(get_fwd, bases))
+        if ids is not None and None not in ids:
             missed = []
-            for g, (id_, basis_int) in enumerate(hits):
+            for g, (id_, basis) in enumerate(zip(ids, bases)):
                 value = lookup_basis(id_)
                 if value is None:  # unreachable with decoder-first installs
                     missed.append(g)
-                elif value != basis_int:
+                elif value != basis:
                     raise InvariantViolation(
                         f"id {id_} resolves to a basis other than the encoder's")
             if missed:
@@ -705,7 +699,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 counters.decode_miss += len(lost)
                 dropped.extend(lost.tolist())
             # refresh recency chunk by chunk, exhausted by a zero-length deque
-            bases = [basis_int for _, basis_int in hits]
             times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
                      else repeat(0, len(rows)))
             deque(map(lookup_id, map(bases.__getitem__, group.tolist()), times), maxlen=0)
@@ -714,21 +707,20 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
             keys = rows.tobytes()
             for i, o in zip(range(start, stop), range(0, len(keys), width)):
                 t = i * gap_ns
-                key = keys[o:o + width]
-                hit = get_fwd(key)
-                if hit is None:
+                basis = int.from_bytes(keys[o:o + width], "big")
+                id_ = get_fwd(basis)
+                if id_ is None:
                     n_sb += 1
-                    if submit(int.from_bytes(key, "big"), t):
+                    if submit(basis, t):
                         nxt = cp.next_event_ns
                 else:
-                    id_, basis_int = hit
-                    lookup_id(basis_int, t)  # refresh recency
+                    lookup_id(basis, t)  # refresh recency
                     n_si += 1
                     value = lookup_basis(id_)
                     if value is None:
                         counters.decode_miss += 1
                         dropped.append(i)
-                    elif value != basis_int:
+                    elif value != basis:
                         raise InvariantViolation(
                             f"id {id_} resolves to a basis other than the encoder's")
                 if nxt is not None and nxt <= t:
@@ -825,8 +817,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def compute_bases(trace, config: PipelineConfig) -> list[int]:
     """Distinct bases of a Trace or TraceFile, in order of first appearance."""
-    if trace.chunk_bits != config.chunk_bits:
-        raise LengthMismatch("trace chunk size does not match config")
+    _check_chunk_bits(trace, config)
     w = trace.chunk_nbytes
     seen: dict[bytes, None] = {}
     for _, _, (_, _, rows) in _windows(trace, build_code(config.m)):
@@ -843,13 +834,15 @@ _ETH_SRC = bytes.fromhex("020000000001")
 
 def write_pcap(frames, path) -> None:
     """Dump frames as a little-endian pcap of Ethernet II packets, one
-    EtherType per frame kind, microsecond timestamps."""
+    EtherType per frame kind, nanosecond timestamps. A timestamp the
+    format cannot hold (not a whole number of nanoseconds in [0, 2^32) s)
+    raises InvalidTime before anything is written."""
+    out = [_PCAP_GLOBAL.pack(0xA1B23C4D, 2, 4, 0, 0, 65535, 1)]
+    for frame in frames:
+        sec, ns = divmod(_time_ns(frame.timestamp, "frame timestamp"), 10 ** 9)
+        if sec >> 32:
+            raise InvalidTime(f"frame timestamp {frame.timestamp!r} is 2^32 s or later")
+        pkt = _ETH_DST + _ETH_SRC + ETHERTYPES[frame.kind].to_bytes(2, "big") + frame.payload
+        out += (_PCAP_RECORD.pack(sec, ns, len(pkt), len(pkt)), pkt)
     with open(path, "wb") as f:
-        f.write(_PCAP_GLOBAL.pack(0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
-        for frame in frames:
-            ns = _to_ns(frame.timestamp)
-            sec, rem = divmod(ns, 10 ** 9)
-            pkt = (_ETH_DST + _ETH_SRC
-                   + ETHERTYPES[frame.kind].to_bytes(2, "big") + frame.payload)
-            f.write(_PCAP_RECORD.pack(sec, rem // 1000, len(pkt), len(pkt)))
-            f.write(pkt)
+        f.write(b"".join(out))

@@ -16,7 +16,9 @@ from gdpipe.gdcore import (
     GdError,
     LengthMismatch,
     build_code,
+    gd_decode,
     gd_encode,
+    join_chunk,
     parity_of,
     split_chunk,
 )
@@ -140,6 +142,13 @@ class TestCounters:
         lines = c.report().splitlines()
         assert lines[0] == "RAW_IN 2"
         assert len(lines) == 10
+
+    def test_names_follow_the_fields(self):
+        assert list(Counters().as_dict()) == [
+            "RAW_IN", "OUT_SYN_BASIS", "OUT_SYN_ID", "IN_SYN_BASIS", "IN_SYN_ID",
+            "RESTORED_RAW", "DIGESTS", "INSTALLS", "EVICTIONS", "DECODE_MISS"]
+        with pytest.raises(InvariantViolation, match="decode_miss went negative"):
+            Counters(decode_miss=-1).verify()
 
     def test_verify_accepts_consistent(self):
         Counters(raw_in=3, out_syn_basis=1, out_syn_id=2, in_syn_basis=1,
@@ -334,6 +343,50 @@ class TestControlPlane:
         assert pipe.counters.decode_miss == 0
         pipe.counters.verify()
 
+    def test_encoder_reads_the_control_planes_map(self):
+        pipe = Pipeline(CFG3)
+        assert pipe.encoder.forward is pipe.control.forward
+        pipe.preload([0b0101])
+        assert pipe.control.forward == {0b0101: 0}
+
+    def test_due_digest_for_a_preloaded_basis_is_dropped(self):
+        pipe = Pipeline(PipelineConfig(m=3, id_width=1, learning_delay=1e-6))
+        chunk = chunk_of("00000100")  # basis 0000
+        pipe.push_chunk(chunk, 0.0)  # its digest falls due at 1 us
+        assert pipe.preload([0b0000], 0.5e-6) == 1
+        other = chunk_of("11111111")  # basis 1111
+        assert pipe.push_chunk(other, 1e-6) == other
+        assert pipe.state.entry(0b0000) == (0, 500)
+        assert (pipe.counters.digests, pipe.counters.installs) == (2, 0)
+        assert pipe.control.submit(0b0000, 1000)  # no longer pending
+        pipe.control.poll(2000)
+        assert pipe.encoder.forward == {0b0000: 0, 0b1111: 1}
+        assert pipe.counters.installs == 1 and pipe.counters.evictions == 0
+        pipe.counters.verify()
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_evicting_basis_zero_counts(self, engine):
+        # three bases, 0 among them, cycled through two IDs: every arrival
+        # misses and is learned at once, and each learn past the first two
+        # evicts; basis 0 is the victim of every third one
+        cfg = PipelineConfig(m=3, id_width=1, learning_delay=0.0)
+        code = build_code(3)
+        chunks = [join_chunk(0, gd_decode(0, BitChunk(code.k, b), code), code)
+                  for b in (0, 5, 9)] * 4
+        trace = Trace.from_chunks(8, chunks)
+        if engine == "scalar":
+            pipe = Pipeline(cfg)
+            _, counters, _ = pipe.replay(trace, 1e-6)
+            state = pipe.state
+        else:
+            holder = []
+            _, counters, _ = run_pipeline(trace, cfg, 1e-6, state_out=holder)
+            state = holder[0]
+        assert counters.digests == counters.installs == len(chunks)
+        assert counters.evictions == len(chunks) - state.capacity
+        assert state.entry(0) is None and len(state) == 2
+        counters.verify()
+
 
 class TestRunPipeline:
     def test_thousand_identical_chunks_static(self):
@@ -378,6 +431,15 @@ class TestRunPipeline:
     def test_chunk_size_mismatch(self):
         with pytest.raises(LengthMismatch):
             run_pipeline(Trace(16, bytes(2)), CFG8, 1e-6)
+
+    @pytest.mark.parametrize("engine", ["run_pipeline", "compute_bases", "scalar"])
+    def test_chunk_size_mismatch_names_both_sizes(self, engine):
+        trace = Trace(16, bytes(2))
+        call = {"run_pipeline": lambda: run_pipeline(trace, CFG8, 1e-6),
+                "compute_bases": lambda: compute_bases(trace, CFG8),
+                "scalar": lambda: Pipeline(CFG8).replay(trace, 1e-6)}[engine]
+        with pytest.raises(LengthMismatch, match="16-bit chunks, config m=8 needs 256"):
+            call()
 
     def test_state_out(self):
         trace = Trace(256, bytes(32) * 3)
@@ -547,8 +609,9 @@ class TestWideCodes:
 
 
 class TestScalarTimeChecks:
-    """The scalar Pipeline's own timestamps go through the same check as
-    gaps: NaN, infinite, negative and sub-nanosecond times are refused."""
+    """The scalar Pipeline's own timestamps, and the encoder's frame times,
+    go through the same check as gaps: NaN, infinite, negative and
+    sub-nanosecond times are refused."""
 
     TIMES = [float("nan"), math.inf, 1e-10, -1e-10]
 
@@ -568,6 +631,16 @@ class TestScalarTimeChecks:
         with pytest.raises(InvalidTime, match="preload time"):
             pipe.preload([1], now)
         assert len(pipe.state) == 0
+
+    @pytest.mark.parametrize("ts", TIMES + [-1.0])
+    def test_encoder_frame_time(self, ts):
+        pipe = Pipeline(CFG3)
+        payload = BitChunk(8, 1).to_bytes()
+        with pytest.raises(InvalidTime, match="frame time"):
+            pipe.encoder.process(Frame(RAW, payload, ts))
+        with pytest.raises(InvalidTime, match="frame time"):
+            pipe.encoder.process(Frame(RAW, payload, 0.0), ts)
+        assert pipe.counters.raw_in == pipe.counters.digests == 0
 
     def test_nanosecond_times_accepted(self):
         pipe = Pipeline(CFG3)
@@ -1015,8 +1088,8 @@ class TestPcapExport:
         path = tmp_path / "one.pcap"
         write_pcap([Frame(SYN_ID, b"\xa5\xff\xff", 1.000001)], path)
         data = path.read_bytes()
-        global_hdr = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
-        record_hdr = struct.pack("<IIII", 1, 1, 17, 17)
+        global_hdr = struct.pack("<IHHiIII", 0xA1B23C4D, 2, 4, 0, 0, 65535, 1)
+        record_hdr = struct.pack("<IIII", 1, 1000, 17, 17)
         ether = bytes.fromhex("020000000002") + bytes.fromhex("020000000001") \
             + (0x88B7).to_bytes(2, "big")
         assert data == global_hdr + record_hdr + ether + b"\xa5\xff\xff"
@@ -1031,3 +1104,23 @@ class TestPcapExport:
         data = path.read_bytes()
         for ethertype in (0x88B5, 0x88B6, 0x88B7):
             assert ethertype.to_bytes(2, "big") in data
+
+    def test_nanosecond_apart_frames_keep_distinct_stamps(self, tmp_path):
+        path = tmp_path / "ns.pcap"
+        times = [1.0, 1.000000001, 1.000000002, 2.0 ** 32 - 1]
+        write_pcap([Frame(RAW, bytes([i]), t) for i, t in enumerate(times)], path)
+        data = path.read_bytes()
+        stamps, off = [], 24
+        while off < len(data):
+            sec, ns, incl, _ = struct.unpack_from("<IIII", data, off)
+            stamps.append((sec, ns))
+            off += 16 + incl
+        assert stamps == [(1, 0), (1, 1), (1, 2), (2 ** 32 - 1, 0)]
+
+    @pytest.mark.parametrize("ts", [float("nan"), math.inf, -1.0, 2.0 ** 32, 2.0 ** 33,
+                                    1.5e-9])
+    def test_unwritable_time_is_refused(self, tmp_path, ts):
+        path = tmp_path / "bad.pcap"
+        with pytest.raises(InvalidTime, match="frame timestamp"):
+            write_pcap([Frame(RAW, b"\x04", 0.0), Frame(RAW, b"\x04", ts)], path)
+        assert not path.exists()
