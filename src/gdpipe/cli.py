@@ -21,8 +21,8 @@ from .pipeline import (
     Counters,
     InvariantViolation,
     PipelineConfig,
-    compute_bases,
     replay,
+    replay_static,
 )
 from .traces import (
     TraceFile,
@@ -98,10 +98,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _replay(source, config, gap, preload):
-    """replay, which checks every restored window bit for bit, plus the
-    counter identities and no decode miss."""
-    counters, (raw, encoded), state, _ = replay(source, config, gap, preload=preload)
+def _checked(result):
+    """A replay's (counters, raw, encoded, state), once its counter
+    identities hold and no frame hit a decode miss; the replay itself
+    checks every restored window bit for bit."""
+    counters, (raw, encoded), state, _ = result
     counters.verify()
     if counters.decode_miss:
         raise InvariantViolation(f"{counters.decode_miss} frames hit a decode miss")
@@ -109,19 +110,22 @@ def _replay(source, config, gap, preload):
 
 
 def _cmd_run(args) -> int:
+    if args.snapshot_in is not None and args.mode != "static":
+        raise GdError(f"--snapshot-in preloads static mode only, not {args.mode}")
+    if args.gzip_bytes is not None and args.gzip_bytes < 0:
+        raise GdError(f"--gzip-bytes must be >= 0, got {args.gzip_bytes}")
     with TraceFile(args.trace) as source:
         m = m_for_chunk_bits(source.chunk_bits)
         delay = math.inf if args.mode == "no-table" else args.delay
         config = PipelineConfig(m=m, id_width=args.id_width, learning_delay=delay,
                                 alignment_padding=args.padding)
-        preload = None
-        if args.mode == "static":
-            if args.snapshot_in:  # (id, basis) pairs: each entry keeps its ID
-                preload = read_snapshot(args.snapshot_in, args.id_width,
-                                        basis_bits=(1 << m) - 1 - m)
-            else:
-                preload = compute_bases(source, config)
-        counters, raw, encoded, state = _replay(source, config, args.gap, preload)
+        if args.mode == "static" and args.snapshot_in is None:
+            result = replay_static(source, config, args.gap)
+        else:  # snapshot (id, basis) pairs: each entry keeps its ID
+            preload = None if args.snapshot_in is None else read_snapshot(
+                args.snapshot_in, args.id_width, basis_bits=(1 << m) - 1 - m)
+            result = replay(source, config, args.gap, preload=preload)
+        counters, raw, encoded, state = _checked(result)
 
     report = RunReport(
         mode=args.mode, raw_bytes=raw, encoded_bytes=encoded,
@@ -140,23 +144,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Time the two stages of `run --mode static` with default delay and gap."""
+    """Time `run --mode static`'s one replay with default delay and gap."""
     with TraceFile(args.trace) as source:
         config = PipelineConfig(m=m_for_chunk_bits(source.chunk_bits),
                                 id_width=args.id_width, learning_delay=DEFAULT_DELAY)
         t0 = time.perf_counter()
-        bases = compute_bases(source, config)
-        t1 = time.perf_counter()
-        _, raw, encoded, _ = _replay(source, config, DEFAULT_GAP, bases)
-        t2 = time.perf_counter()
+        _, raw, encoded, _ = _checked(replay_static(source, config, DEFAULT_GAP))
+        secs = time.perf_counter() - t0
 
     count = source.chunk_count
     print(f"chunks={count} raw_bytes={raw} encoded_bytes={encoded}")
-    for label, secs in (("bases", t1 - t0), ("replay", t2 - t1)):
-        rate = count / secs if secs else float("inf")
-        gbps = raw * 8 / secs / 1e9 if secs else float("inf")
-        print(f"{label}_s={secs:.3f} {label}_chunks_per_s={rate:.0f} "
-              f"{label}_gbit_per_s={gbps:.3f}")
+    rate = count / secs if secs else float("inf")
+    gbps = raw * 8 / secs / 1e9 if secs else float("inf")
+    print(f"replay_s={secs:.3f} replay_chunks_per_s={rate:.0f} replay_gbit_per_s={gbps:.3f}")
     print("roundtrip_ok=1")
     return 0
 

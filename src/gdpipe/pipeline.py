@@ -601,16 +601,17 @@ def encode_batch(payload: bytes, code: HammingCode,
 
 
 def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
-                 code: HammingCode) -> bytes:
+                 code: HammingCode, parity: np.ndarray | None = None) -> bytes:
     """Inverse of encode_batch: the restored chunks, back to back.
 
     Works in place: `rows` (basis rows as encode_batch returns them) is
     overwritten with the restored chunks, so no second copy of the trace
-    is made before the returned bytes.
+    is made before the returned bytes. `parity`, if given, is each row's
+    `_column_xor(rows, par)`, which equal rows need computed only once.
     """
     tabs = _vector_tables(code.m, code.generator.low_bits)
     count = len(rows)
-    p = _column_xor(rows, tabs.par)
+    p = _column_xor(rows, tabs.par) if parity is None else parity
     rows[:, :tabs.cols] ^= tabs.place[p]
     rows[np.arange(count), tabs.flip_col[syndrome]] ^= tabs.flip_bit[syndrome]
     rows[:, 0] |= msb.astype(np.uint8) << 7
@@ -632,6 +633,7 @@ def _windows(source, code: HammingCode):
 
 
 def replay(source, config: PipelineConfig, gap: float, *, preload=None,
+           _learn_static: bool = False,
            ) -> tuple[Counters, tuple[int, int], DictionaryState, list[int]]:
     """The replay engine: run_pipeline for a Trace or an open TraceFile.
 
@@ -646,11 +648,13 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     control-plane event due before its last chunk, resolves each distinct
     row once and refreshes recency with one lookup_id per chunk; every
     other window runs the per-chunk event loop. Both give the same
-    counters, bytes and final dictionary as Pipeline.replay.
+    counters, bytes and final dictionary as Pipeline.replay. A window
+    grouped by distinct row gathers its decode parity once per group.
     """
     _check_chunk_bits(source, config)
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
+    par_table = _vector_tables(config.m, code.generator.low_bits).par
     width = source.chunk_nbytes
     count = source.chunk_count
 
@@ -674,16 +678,21 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     nxt = cp.next_event_ns
     for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
         stop = start + len(rows)
-        ids = None
+        ids = group = None
         # With no control-plane event due before the window's last chunk, a
         # window whose distinct rows all hit can neither submit nor poll, so
         # both maps stay put: each distinct row resolves once, and only the
         # recency refresh runs per chunk
-        if cp.forward and (nxt is None or nxt > (stop - 1) * gap_ns):
+        if _learn_static or cp.forward and (nxt is None or nxt > (stop - 1) * gap_ns):
             first, group = _group_rows(rows)
             distinct = rows[first].tobytes()
             bases = [int.from_bytes(distinct[o:o + width], "big")
                      for o in range(0, len(distinct), width)]
+            if _learn_static:  # see replay_static
+                new = [b for b in bases if b not in cp.forward]
+                if len(new) > state.free_count:
+                    return None
+                cp.preload(new)
             ids = list(map(get_fwd, bases))
         if ids is not None and None not in ids:
             missed = []
@@ -727,12 +736,17 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                     poll(t)
                     nxt = cp.next_event_ns
         # dropped frames decode too: their rows are the encoder's own. The
-        # key buffers go first, so few window copies are alive at once, and
-        # the window is compared as bytes: bytes != memoryview is 20x slower
+        # key buffers and the parity go before the compare, and the decoded
+        # window after it, so few window copies are alive at once; the
+        # window is compared as bytes: bytes != memoryview is 20x slower
+        par = None if group is None else _column_xor(rows[first], par_table)[group]
         keys = group = None
-        if decode_batch(rows, s_vec, msb_vec, code) != bytes(window):
+        restored = decode_batch(rows, s_vec, msb_vec, code, par)
+        par = None
+        if restored != bytes(window):
             raise InvariantViolation(
                 f"chunks {start}..{stop - 1} did not restore bit-identically")
+        restored = None
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb
@@ -742,6 +756,22 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     counters.restored_raw += count - len(dropped)
     encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
     return counters, (count * width, encoded), state, dropped
+
+
+def replay_static(source, config: PipelineConfig, gap: float,
+                  ) -> tuple[Counters, tuple[int, int], DictionaryState, list[int]]:
+    """`replay` preloaded with compute_bases(source, config), the static
+    table, reading the source once: before each window replays, its unseen
+    bases are preloaded in first-appearance order. The IDs, counters,
+    bytes and final dictionary are the same, since each basis is hit in
+    the window that learns it. Only if the bases outnumber the IDs, so
+    that preloading them evicts, does the one pass stop (replay returns
+    None) and the table come from compute_bases: two more reads.
+    """
+    result = replay(source, config, gap, _learn_static=True)
+    if result is None:
+        result = replay(source, config, gap, preload=compute_bases(source, config))
+    return result
 
 
 def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,

@@ -221,14 +221,57 @@ class TestRun:
         path, _ = make_trace(tmp_path)
         real = pipeline.decode_batch
 
-        def flip_one_bit(rows, syndrome, msb, code):
-            out = bytearray(real(rows, syndrome, msb, code))
+        def flip_one_bit(*args):
+            out = bytearray(real(*args))
             out[0] ^= 0x80
             return bytes(out)
 
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         assert main(["run", str(path), "--mode", "dynamic"]) == 1
         assert capsys.readouterr().err.startswith("invariant violation")
+
+    @pytest.mark.parametrize("mode", ["dynamic", "no-table"])
+    @pytest.mark.parametrize("snapshot", ["missing.snap", "real.snap"])
+    def test_snapshot_in_outside_static_mode_exits_2(self, tmp_path, capsys, mode, snapshot):
+        # the flag used to be ignored, whether or not the file existed
+        path, _ = make_trace(tmp_path)
+        (tmp_path / "real.snap").write_text("0 1\n")
+        report = tmp_path / "report.txt"
+        assert main(["run", str(path), "--mode", mode, "--snapshot-in",
+                     str(tmp_path / snapshot), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --snapshot-in preloads static mode only, not {mode}\n")
+        assert not report.exists()
+
+    def test_negative_gzip_bytes_exits_2(self, tmp_path, capsys):
+        # -5 used to go into the report as a negative gzip_ratio
+        path, _ = make_trace(tmp_path)
+        report = tmp_path / "report.txt"
+        assert main(["run", str(path), "--mode", "static", "--gzip-bytes", "-5",
+                     "--report", str(report)]) == 2
+        assert capsys.readouterr().err == "error: --gzip-bytes must be >= 0, got -5\n"
+        assert not report.exists()
+
+    # 16 bases fill the 4-bit ID space exactly; preloading 17 would evict,
+    # so the run starts again from compute_bases
+    @pytest.mark.parametrize("bases, passes", [(16, 1), (17, 3)])
+    @pytest.mark.parametrize("command", [["run", "--mode", "static"], ["bench"]],
+                             ids=["run", "bench"])
+    def test_static_mode_reads_the_trace_once_while_the_bases_fit(
+            self, tmp_path, monkeypatch, command, bases, passes):
+        path, _ = make_trace(tmp_path, seed=7, chunk_count=2000, distinct_bases=bases)
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 100 * 32)
+        count = []
+        real = cli.TraceFile.windows
+
+        def counted(self, *args):
+            count.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(cli.TraceFile, "windows", counted)
+        argv = command[:1] + [str(path)] + command[1:] + ["--id-width", "4"]
+        assert main(argv) == 0
+        assert len(count) == passes
 
     def test_mode_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -248,10 +291,11 @@ class TestBench:
         path, _ = make_trace(tmp_path, chunk_count=200)
         assert main(["bench", str(path)]) == 0
         fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
-        for stage in ("bases", "replay"):
-            assert float(fields[f"{stage}_s"]) >= 0
-            assert float(fields[f"{stage}_chunks_per_s"]) > 0
-            assert float(fields[f"{stage}_gbit_per_s"]) > 0
+        # static mode replays in one pass: there is no separate bases stage
+        assert not any(key.startswith("bases") for key in fields)
+        assert float(fields["replay_s"]) >= 0
+        assert float(fields["replay_chunks_per_s"]) > 0
+        assert float(fields["replay_gbit_per_s"]) > 0
 
     def test_encoded_bytes_match_static_run(self, tmp_path, capsys):
         # 40 bases against 16 IDs: the replay learns and evicts past the
@@ -270,8 +314,8 @@ class TestBench:
         path, _ = make_trace(tmp_path)
         real = pipeline.decode_batch
 
-        def flip_one_bit(rows, syndrome, msb, code):
-            out = bytearray(real(rows, syndrome, msb, code))
+        def flip_one_bit(*args):
+            out = bytearray(real(*args))
             out[0] ^= 0x80
             return bytes(out)
 
@@ -289,6 +333,7 @@ class TestStreamedRun:
     @pytest.mark.parametrize("flags", [
         ["--mode", "static"],
         ["--mode", "static", "--padding"],
+        ["--mode", "static", "--id-width", "3"],  # 12 bases past 8 IDs
         ["--mode", "dynamic", "--delay", "20e-6", "--gap", "1e-6"],
         ["--mode", "dynamic", "--padding", "--id-width", "3", "--delay", "5e-6"],
         ["--mode", "no-table"],

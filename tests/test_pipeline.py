@@ -750,8 +750,8 @@ class TestWindowedReplay:
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", chunks * trace.chunk_nbytes)
         real = pipeline.decode_batch
 
-        def flip_one_bit(rows, syndrome, msb, code):
-            out = bytearray(real(rows, syndrome, msb, code))
+        def flip_one_bit(*args):
+            out = bytearray(real(*args))
             out[-1] ^= 1
             return bytes(out)
 
@@ -897,6 +897,73 @@ def test_static_replay_resolves_each_basis_once_per_window(monkeypatch, dict_cal
     assert counters.out_syn_id == 2000
     assert dict_calls["lookup_id"] == counters.out_syn_id
     assert dict_calls["lookup_basis"] == _distinct_per_window(trace, cfg, per) == 8 * 7
+
+
+def _static_against_scalar(trace, cfg, gap):
+    """replay_static must equal the scalar Pipeline preloaded with
+    compute_bases on the counters, the sizes, the restored payload and
+    the whole final dictionary. Returns the number of distinct bases."""
+    pipe = Pipeline(cfg)
+    pipe.preload(compute_bases(trace, cfg))
+    out, counters, sizes = pipe.replay(trace, gap)
+    got_counters, got_sizes, state, dropped = pipeline.replay_static(trace, cfg, gap)
+    assert got_counters == counters
+    assert got_sizes == sizes
+    assert dropped == [] and out.payload == trace.payload
+    want = pipe.state
+    assert state.items() == want.items()
+    assert state.free_ids() == want.free_ids()
+    bases = _scalar_bases(trace, cfg)
+    assert [state.entry(b) for b in bases] == [want.entry(b) for b in bases]
+    assert list(state._entries.items()) == list(want._entries.items())
+    assert state._clock == want._clock
+    got_counters.verify()
+    return len(bases)
+
+
+class TestOnePassStatic:
+    """replay_static learns each basis in the window that first holds it,
+    reading the trace once; past the ID space it builds the table from
+    compute_bases after all. Either way it equals the preloaded scalar
+    Pipeline."""
+
+    @pytest.mark.parametrize("m, id_width, count", [(3, 2, 40), (8, 3, 90), (14, 2, 24)])
+    @pytest.mark.parametrize("extra", [0, 1])  # 1: preloading them all evicts
+    @pytest.mark.parametrize("gap, padding", [(0.0, False), (1e-6, True)])
+    @pytest.mark.parametrize("per", [3, None])  # chunks per window; None keeps 1 MiB
+    def test_matches_preloaded_scalar(self, monkeypatch, m, id_width, count, extra,
+                                      gap, padding, per):
+        capacity = 1 << id_width
+        trace = gen_synthetic(TraceSpec(
+            seed=40 + m + extra, chunk_count=count, chunk_bits=1 << m,
+            distinct_bases=capacity + extra, codeword_prob=0.3,
+            basis_distribution="round-robin"))
+        if per is not None:
+            monkeypatch.setattr(pipeline, "WINDOW_BYTES", per * trace.chunk_nbytes)
+        cfg = PipelineConfig(m=m, id_width=id_width, alignment_padding=padding)
+        assert _static_against_scalar(trace, cfg, gap) == capacity + extra
+
+    # C is first seen in the last 4-chunk window: with 2 IDs that is where
+    # the one pass finds it cannot learn C without an eviction
+    @pytest.mark.parametrize("id_width", [1, 15])
+    def test_basis_first_seen_in_the_last_window(self, monkeypatch, id_width):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 4 * 32)
+        trace = _pattern_trace("AB" * 10 + "BAC")
+        cfg = PipelineConfig(m=8, id_width=id_width)
+        assert _static_against_scalar(trace, cfg, 1e-6) == 3
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 11, 14])
+    def test_grouped_parity_decodes_like_the_plain_one(self, m):
+        count = 300 if m <= 8 else 40
+        trace = gen_synthetic(TraceSpec(seed=m, chunk_count=count, chunk_bits=1 << m,
+                                        distinct_bases=5, codeword_prob=0.3))
+        code = build_code(m)
+        msb, syn, rows = encode_batch(trace.payload, code)
+        first, group = pipeline._group_rows(rows)
+        assert len(first) < len(rows)  # duplicates to share the parity of
+        parity = pipeline._column_xor(rows[first], _vector_tables(m, code.generator.low_bits).par)
+        plain = decode_batch(rows.copy(), syn, msb, code)
+        assert decode_batch(rows, syn, msb, code, parity[group]) == plain == trace.payload
 
 
 class TestHashedDedup:
