@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dictionary import read_snapshot
@@ -116,9 +116,10 @@ def _cmd_run(args) -> int:
         raise GdError(f"--gzip-bytes must be >= 0, got {args.gzip_bytes}")
     with TraceFile(args.trace) as source:
         m = m_for_chunk_bits(source.chunk_bits)
-        delay = math.inf if args.mode == "no-table" else args.delay
-        config = PipelineConfig(m=m, id_width=args.id_width, learning_delay=delay,
+        config = PipelineConfig(m=m, id_width=args.id_width, learning_delay=args.delay,
                                 alignment_padding=args.padding)
+        if args.mode == "no-table":  # --delay is checked in every mode
+            config = replace(config, learning_delay=math.inf)
         if args.mode == "static" and args.snapshot_in is None:
             result = replay_static(source, config, args.gap)
         else:  # snapshot (id, basis) pairs: each entry keeps its ID
@@ -162,6 +163,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_payloads(args) -> int:
+    if Path(args.out).exists() and Path(args.out).samefile(args.trace):
+        raise GdError(f"output {args.out} is the input trace itself")
     with TraceFile(args.trace) as source, open(args.out, "wb") as out:
         for window in source.windows(WINDOW_BYTES):
             out.write(window)

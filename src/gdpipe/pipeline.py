@@ -644,12 +644,13 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     input window (InvariantViolation otherwise). A TraceFile's windows
     share one buffer, so memory does not grow with the trace.
 
-    A window whose distinct basis rows all hit the forward map, with no
-    control-plane event due before its last chunk, resolves each distinct
-    row once and refreshes recency with one lookup_id per chunk; every
-    other window runs the per-chunk event loop. Both give the same
-    counters, bytes and final dictionary as Pipeline.replay. A window
-    grouped by distinct row gathers its decode parity once per group.
+    An eventless window, one with no control-plane event due by its last
+    chunk, its own digests' installs included, handles each distinct basis
+    once: a hit resolves once and refreshes recency with one lookup_id per
+    chunk, a miss submits one digest at its first chunk. Every other
+    window runs the per-chunk event loop. Both give the same counters,
+    bytes and final dictionary as Pipeline.replay. A window grouped by
+    distinct row gathers its decode parity once per group.
     """
     _check_chunk_bits(source, config)
     gap_ns = _time_ns(gap, "inter-arrival gap")
@@ -668,7 +669,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     # (installs go decoder-side first, evictions drop the forward entry
     # first), so a SYN_ID frame resolves to the encoder's own basis row and
     # the decoder restores straight from the window's basis rows.
-    n_sb = n_si = 0
+    n_sb = 0
     dropped: list[int] = []
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
@@ -676,14 +677,17 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
+    lead = cp._dec_delay  # ns from a digest to its decoder-side install; None: never
     for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
         stop = start + len(rows)
-        ids = group = None
-        # With no control-plane event due before the window's last chunk, a
-        # window whose distinct rows all hit can neither submit nor poll, so
-        # both maps stay put: each distinct row resolves once, and only the
-        # recency refresh runs per chunk
-        if _learn_static or cp.forward and (nxt is None or nxt > (stop - 1) * gap_ns):
+        last = (stop - 1) * gap_ns
+        group, eventless = None, False
+        # No poll fires inside an eventless window, so the forward map stays
+        # put, and submit and lookup_id touch disjoint state. A first chunk
+        # that misses, its install due in the window, skips the grouping
+        if _learn_static or (nxt is None or nxt > last) and (
+                lead is None or start * gap_ns + lead > last
+                or int.from_bytes(rows[0].tobytes(), "big") in cp.forward):
             first, group = _group_rows(rows)
             distinct = rows[first].tobytes()
             bases = [int.from_bytes(distinct[o:o + width], "big")
@@ -694,24 +698,35 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                     return None
                 cp.preload(new)
             ids = list(map(get_fwd, bases))
-        if ids is not None and None not in ids:
-            missed = []
+            missed = [g for g, id_ in enumerate(ids) if id_ is None]
+            eventless = not missed or lead is None or (
+                start + int(first[missed[0]])) * gap_ns + lead > last
+        if eventless:
+            lost = []
             for g, (id_, basis) in enumerate(zip(ids, bases)):
+                if id_ is None:
+                    submit(basis, (start + int(first[g])) * gap_ns)
+                    continue
                 value = lookup_basis(id_)
                 if value is None:  # unreachable with decoder-first installs
-                    missed.append(g)
+                    lost.append(g)
                 elif value != basis:
                     raise InvariantViolation(
                         f"id {id_} resolves to a basis other than the encoder's")
-            if missed:
-                lost = np.flatnonzero(np.isin(group, missed)) + start
+            if lost:
+                lost = np.flatnonzero(np.isin(group, lost)) + start
                 counters.decode_miss += len(lost)
                 dropped.extend(lost.tolist())
-            # refresh recency chunk by chunk, exhausted by a zero-length deque
+            # refresh recency hit by hit, exhausted by a zero-length deque
             times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
                      else repeat(0, len(rows)))
-            deque(map(lookup_id, map(bases.__getitem__, group.tolist()), times), maxlen=0)
-            n_si += len(rows)
+            hits = group
+            if missed:
+                nxt = cp.next_event_ns
+                at = np.flatnonzero(np.array([id_ is not None for id_ in ids])[group])
+                n_sb += len(rows) - len(at)
+                times, hits = map(gap_ns.__mul__, (at + start).tolist()), group[at]
+            deque(map(lookup_id, map(bases.__getitem__, hits.tolist()), times), maxlen=0)
         else:
             keys = rows.tobytes()
             for i, o in zip(range(start, stop), range(0, len(keys), width)):
@@ -724,7 +739,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                         nxt = cp.next_event_ns
                 else:
                     lookup_id(basis, t)  # refresh recency
-                    n_si += 1
                     value = lookup_basis(id_)
                     if value is None:
                         counters.decode_miss += 1
@@ -740,7 +754,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
         # window after it, so few window copies are alive at once; the
         # window is compared as bytes: bytes != memoryview is 20x slower
         par = None if group is None else _column_xor(rows[first], par_table)[group]
-        keys = group = None
+        keys = group = hits = bases = ids = missed = None
         restored = decode_batch(rows, s_vec, msb_vec, code, par)
         par = None
         if restored != bytes(window):
@@ -750,11 +764,11 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb
-    counters.out_syn_id += n_si
+    counters.out_syn_id += count - n_sb
     counters.in_syn_basis += n_sb
-    counters.in_syn_id += n_si
+    counters.in_syn_id += count - n_sb
     counters.restored_raw += count - len(dropped)
-    encoded = n_sb * syn_basis_nbytes(config) + n_si * syn_id_nbytes(config)
+    encoded = n_sb * syn_basis_nbytes(config) + (count - n_sb) * syn_id_nbytes(config)
     return counters, (count * width, encoded), state, dropped
 
 
@@ -786,7 +800,7 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     `state_out` is a list the final DictionaryState is appended to it.
     Semantically identical to Pipeline.replay: the transforms run
     vectorized for every m, and the dictionary and control plane run per
-    chunk, or once per distinct basis in a window of all hits (see
+    chunk, or once per distinct basis in an eventless window (see
     `replay`). The trace streams through `replay`, whose per-window check
     makes the returned trace share the input's payload unless a decode
     miss dropped frames.
@@ -812,6 +826,7 @@ def _odd_multipliers(count: int) -> np.ndarray:
 
 # a row of 2^15 bits is 512 u64 words
 _ROW_HASH = _odd_multipliers(512)
+_DICT_ROWS = 1024  # fewer rows skip numpy's u64 sort: 0.7 MB of RSS to load
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -819,30 +834,32 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group), where group g's first row is rows[first[g]], groups are
     numbered in first-appearance order and row i is in group group[i].
 
-    Rows of 8 bytes or more hash to one u64 (each word times a fixed odd
-    constant, summed with wraparound); narrower rows are their own key.
-    Every row is then checked against its group's first row, and a hash
-    collision falls back to exact bytes keys.
+    Past _DICT_ROWS rows, the rows are sorted by a key: a row of 8 bytes
+    or more hashes to one u64 (each word times a fixed odd constant,
+    summed with wraparound), a narrower row is its own key. Every row is
+    then checked against its group's first row. Fewer rows, and a hash
+    collision, group by exact bytes keys in a dict.
     """
-    width = rows.shape[1]
-    if width >= 8:
-        words = rows.view(np.uint64)
-        keys = words @ _ROW_HASH[:words.shape[1]]
-    else:
-        words = rows.view(f"u{width}")
-        keys = words.ravel()
-    # return_index would force a stable sort, several times slower here
-    distinct, group = np.unique(keys, return_inverse=True)
-    first = np.full(len(distinct), len(keys), dtype=np.intp)
-    np.minimum.at(first, group, np.arange(len(keys)))
-    if np.array_equal(words, words[first[group]]):
-        order = np.argsort(first)  # a permutation; its argsort inverts it
-        return first[order], np.argsort(order)[group]
-    buf = rows.tobytes()
-    ids: dict[bytes, int] = {}
-    group = np.fromiter((ids.setdefault(buf[o:o + width], len(ids))
-                         for o in range(0, len(buf), width)), np.intp, len(rows))
-    return np.unique(group, return_index=True)[1], group
+    label = None  # per row, the index of the first row equal to it
+    if len(rows) > _DICT_ROWS:
+        width = rows.shape[1]
+        words = rows.view(f"u{min(width, 8)}")
+        keys = words @ _ROW_HASH[:words.shape[1]] if width >= 8 else words.ravel()
+        # return_index would force a stable sort, several times slower here
+        distinct, group = np.unique(keys, return_inverse=True)
+        first = np.full(len(distinct), len(keys), dtype=np.intp)
+        np.minimum.at(first, group, np.arange(len(keys)))
+        label = first[group]
+        if not np.array_equal(words, words[label]):
+            label = None
+    if label is None:
+        ids: dict[bytes, int] = {}
+        label = np.fromiter(map(ids.setdefault, map(bytes, rows), range(len(rows))),
+                            np.intp, len(rows))
+    first = np.flatnonzero(label == np.arange(len(rows)))
+    group = np.empty(len(rows), dtype=np.intp)
+    group[first] = np.arange(len(first))
+    return first, group[label]
 
 
 def compute_bases(trace, config: PipelineConfig) -> list[int]:

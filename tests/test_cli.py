@@ -197,6 +197,25 @@ class TestRun:
         assert main(["run", str(path), "--mode", "dynamic", "--delay", "1e-10"]) == 2
         assert capsys.readouterr().err.startswith("error: learning_delay must be")
 
+    # no-table mode does not use the delay, but checks it like the others
+    @pytest.mark.parametrize("mode", ["no-table", "static", "dynamic"])
+    @pytest.mark.parametrize("delay", ["-5", "nan", "1e-10"])
+    def test_bad_delay_exits_2_in_every_mode(self, tmp_path, capsys, mode, delay):
+        path, _ = make_trace(tmp_path)
+        report = tmp_path / "report.txt"
+        rc = main(["run", str(path), "--mode", mode, f"--delay={delay}",
+                   "--report", str(report)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: learning_delay must be")
+        assert not report.exists()
+
+    def test_no_table_accepts_the_default_delay(self, tmp_path):
+        path, _ = make_trace(tmp_path)
+        report = tmp_path / "report.txt"
+        assert main(["run", str(path), "--mode", "no-table", "--report", str(report)]) == 0
+        got = parse_report(report)
+        assert got["learning_delay"] == "inf" and got["INSTALLS"] == "0"
+
     @pytest.mark.parametrize("flag,name", [("--gap", "inter-arrival gap"),
                                            ("--delay", "learning_delay")])
     def test_time_past_the_float_range_exits_2(self, tmp_path, capsys, flag, name):
@@ -431,6 +450,22 @@ class TestExportPayloads:
         assert main(["export-payloads", str(path), str(out)]) == 0
         assert out.read_bytes() == trace.payload
         assert capsys.readouterr().out == f"wrote 1600 payload bytes to {out}\n"
+
+    # opening the output for writing used to truncate the input first
+    @pytest.mark.parametrize("via", ["same path", "symlink", "relative path"])
+    def test_output_that_is_the_input_is_refused(self, tmp_path, monkeypatch, capsys, via):
+        path, _ = make_trace(tmp_path, chunk_count=50)
+        before = path.read_bytes()
+        out = path
+        if via == "symlink":
+            out = tmp_path / "link.gdtrace"
+            out.symlink_to(path)
+        elif via == "relative path":
+            monkeypatch.chdir(tmp_path)
+            out = Path(".") / path.name
+        assert main(["export-payloads", str(path), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output {out} is the input trace itself\n"
+        assert path.read_bytes() == before
 
     def test_empty_trace_empty_file(self, tmp_path):
         path, _ = make_trace(tmp_path, chunk_count=0)

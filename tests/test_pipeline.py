@@ -838,11 +838,13 @@ class TestAllHitWindows:
     # basis B is first seen at chunk 3, so its install falls due 12 or 13
     # chunks later: at the last chunk of window 1 (which must then run
     # chunk by chunk) or at the first chunk of window 2 (so window 1 is
-    # all hits). Chunk 16 is B: compressed only if the install came first.
+    # all hits). Window 0 is eventless either way: A resolves once there
+    # and B submits once. Chunk 16 is B: compressed only if the install
+    # came first.
     PATTERN = "AAAB" + "A" * 12 + "B" + "AB" * 12
 
-    @pytest.mark.parametrize("delay, resolves", [(12, 7 + 8 + 2 + 2 + 2 + 1),
-                                                 (13, 7 + 1 + 7 + 2 + 2 + 1)])
+    @pytest.mark.parametrize("delay, resolves", [(12, 1 + 8 + 2 + 2 + 2 + 1),
+                                                 (13, 1 + 1 + 7 + 2 + 2 + 1)])
     def test_event_due_at_a_window_boundary(self, dict_calls, delay, resolves):
         trace = _pattern_trace(self.PATTERN)
         cfg = PipelineConfig(m=8, learning_delay=delay * 1e-6)
@@ -882,6 +884,108 @@ class TestAllHitWindows:
         assert counters.out_syn_id == 300
         assert dict_calls["lookup_basis"] == _distinct_per_window(trace, cfg, self.PER)
         assert dict_calls["lookup_id"] == 300
+
+
+@pytest.fixture
+def calls(dict_calls, monkeypatch):
+    """dict_calls, plus the ControlPlane.submit calls under "submit"."""
+    dict_calls["submit"] = 0
+    real = pipeline.ControlPlane.submit
+
+    def counted(self, *args):
+        dict_calls["submit"] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(pipeline.ControlPlane, "submit", counted)
+    return dict_calls
+
+
+class TestEventlessWindows:
+    """A window with no control-plane event due by its last chunk, those
+    its own digests schedule included, submits each missed basis once and
+    resolves each hit basis once; any other window runs chunk by chunk.
+    Both must equal the scalar Pipeline."""
+
+    PER = 8  # chunks per window
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
+
+    # B is first missed at chunk 3 of window 0 (chunks 0-7), so its
+    # decoder-side install falls due at chunk 3 + lead * delay: at chunk 7,
+    # the window's last, which then runs chunk by chunk (A resolves 6 times
+    # and B submits twice), or at chunk 8, which leaves window 0 eventless
+    # (once each). lead 0 makes the install due at the miss itself.
+    PER_CHUNK, EVENTLESS = (6, 2), (1, 1)  # window 0's (resolves, submits)
+
+    @pytest.mark.parametrize("lead, delay, window0, window1", [
+        (1.0, 4, PER_CHUNK, (2, 0)),
+        (1.0, 5, EVENTLESS, (8, 0)),
+        (0.5, 8, PER_CHUNK, (6, 2)),
+        (0.5, 10, EVENTLESS, (5, 3)),
+        (0.0, 4, PER_CHUNK, (2, 0)),
+        (0.0, 5, PER_CHUNK, (8, 0)),
+    ])
+    def test_first_miss_install_due_at_the_window_end(self, calls, lead, delay,
+                                                      window0, window1):
+        trace = _pattern_trace("AAABABAA" + "AB" * 4)
+        cfg = PipelineConfig(m=8, learning_delay=delay * 1e-6, decoder_install_lead=lead)
+        a = _chunk_bases(trace, cfg)[0]
+        counters = _replay_against_scalar(trace, cfg, 1e-6, [a], calls)
+        assert counters.digests == 1
+        assert calls["lookup_basis"] == window0[0] + window1[0]
+        assert calls["submit"] == window0[1] + window1[1]
+        assert calls["lookup_id"] == counters.out_syn_id
+
+    def test_digest_pending_from_an_earlier_window(self, calls):
+        # B's install falls due at chunk 3 + 30, in window 4: windows 0 and
+        # 1 both miss B and are eventless, and window 1's submit finds B's
+        # digest pending. Window 4 runs chunk by chunk, and chunk 33, B's
+        # first there, misses once more.
+        trace = _pattern_trace("AAABAAAA" + "ABAAAAAB" + "A" * 16 + "AB" * 8)
+        cfg = PipelineConfig(m=8, learning_delay=30e-6)
+        a = _chunk_bases(trace, cfg)[0]
+        counters = _replay_against_scalar(trace, cfg, 1e-6, [a], calls)
+        assert counters.digests == counters.installs == 1
+        assert counters.out_syn_basis == 4  # chunks 3, 9, 15 and 33
+        assert calls["submit"] == 1 + 1 + 1
+        assert calls["lookup_id"] == counters.out_syn_id
+
+    # one or two new bases in every window, each learned long after it
+    def test_windows_of_hits_and_misses(self, calls):
+        trace = _pattern_trace("".join("A" * 5 + "BC"[w % 2] + "DEFGH"[w % 5] + "A"
+                                       for w in range(10)))
+        cfg = PipelineConfig(m=8, id_width=2, learning_delay=40e-6,
+                             decoder_install_lead=0.5)
+        counters = _replay_against_scalar(trace, cfg, 1e-6, calls=calls)
+        assert counters.installs > 0 and counters.evictions > 0
+        assert calls["lookup_id"] == counters.out_syn_id
+
+    @pytest.mark.parametrize("m, count", [(3, 400), (8, 300), (14, 40)])
+    @pytest.mark.parametrize("gap", [0.0, 1e-6])
+    @pytest.mark.parametrize("lead", [0.0, 0.5, 1.0])
+    def test_matches_scalar(self, monkeypatch, calls, m, count, gap, lead):
+        trace = gen_synthetic(TraceSpec(seed=60 + m, chunk_count=count, chunk_bits=1 << m,
+                                        distinct_bases=5, codeword_prob=0.3))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 16 * trace.chunk_nbytes)
+        cfg = PipelineConfig(m=m, id_width=2, learning_delay=40e-6,
+                             decoder_install_lead=lead)
+        counters = _replay_against_scalar(trace, cfg, gap, calls=calls)
+        assert calls["lookup_id"] == counters.out_syn_id
+
+    @pytest.mark.parametrize("m, count", [(3, 400), (8, 300), (14, 40)])
+    @pytest.mark.parametrize("gap", [0.0, 1e-6])
+    def test_no_table_submits_once_per_basis_per_window(self, monkeypatch, calls, m,
+                                                        count, gap):
+        trace = gen_synthetic(TraceSpec(seed=70 + m, chunk_count=count, chunk_bits=1 << m,
+                                        distinct_bases=5, codeword_prob=0.3))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 16 * trace.chunk_nbytes)
+        cfg = PipelineConfig(m=m, learning_delay=math.inf, alignment_padding=True)
+        counters = _replay_against_scalar(trace, cfg, gap, calls=calls)
+        assert counters.out_syn_basis == count and counters.digests == 5
+        assert calls["submit"] == _distinct_per_window(trace, cfg, 16)
+        assert calls["lookup_id"] == calls["lookup_basis"] == 0
 
 
 def test_static_replay_resolves_each_basis_once_per_window(monkeypatch, dict_calls):
@@ -1010,6 +1114,30 @@ class TestHashedDedup:
         first, group = pipeline._group_rows(self.ROWS)
         assert first.tolist() == [0, 1, 3]
         assert group.tolist() == [0, 1, 0, 2, 1]
+
+    # past _DICT_ROWS rows the rows are grouped by sorted keys; a bound of 0
+    # sends every window there, hash collisions included
+    @pytest.mark.parametrize("m", M_VALUES)
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_sorted_keys_match_scalar_dedup(self, monkeypatch, m, collide):
+        trace, cfg = self._trace(m)
+        monkeypatch.setattr(pipeline, "_DICT_ROWS", 0)
+        if collide:
+            monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
+        assert compute_bases(trace, cfg) == _scalar_bases(trace, cfg)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_sorted_keys_group_like_the_dict(self, monkeypatch, collide):
+        if collide:
+            monkeypatch.setattr(pipeline, "_ROW_HASH", np.zeros(512, dtype=np.uint64))
+        rows = np.random.default_rng(5).integers(0, 3, (3000, 16), dtype=np.uint8)
+        rows[:, :14] = 0  # 9 distinct rows
+        by_dict = pipeline._group_rows(rows[:pipeline._DICT_ROWS])
+        by_sort = pipeline._group_rows(rows)
+        assert len(by_sort[0]) == 9
+        assert by_sort[1][:pipeline._DICT_ROWS].tolist() == by_dict[1].tolist()
+        assert (rows[by_sort[0]][by_sort[1]] == rows).all()
+        assert by_sort[0].tolist() == sorted(by_sort[0].tolist())
 
     def test_multiplier_table_covers_the_widest_row(self):
         widest = (1 << max(GENERATOR_REGISTRY)) // 64
