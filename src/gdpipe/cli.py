@@ -109,7 +109,15 @@ def _checked(result):
     return counters, raw, encoded, state
 
 
+def _refuse_overwrite(trace, *outs) -> None:
+    """GdError if an output path names the input trace, directly or via a link."""
+    for out in outs:
+        if out and Path(out).exists() and Path(out).samefile(trace):
+            raise GdError(f"output {out} is the input trace itself")
+
+
 def _cmd_run(args) -> int:
+    _refuse_overwrite(args.trace, args.report, args.snapshot_out)
     if args.snapshot_in is not None and args.mode != "static":
         raise GdError(f"--snapshot-in preloads static mode only, not {args.mode}")
     if args.gzip_bytes is not None and args.gzip_bytes < 0:
@@ -163,8 +171,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_payloads(args) -> int:
-    if Path(args.out).exists() and Path(args.out).samefile(args.trace):
-        raise GdError(f"output {args.out} is the input trace itself")
+    _refuse_overwrite(args.trace, args.out)
     with TraceFile(args.trace) as source, open(args.out, "wb") as out:
         for window in source.windows(WINDOW_BYTES):
             out.write(window)
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["no-table", "static", "dynamic"],
                    required=True)
     p.add_argument("--delay", type=float, default=DEFAULT_DELAY,
-                   help="learning delay in seconds (dynamic mode)")
+                   help="learning delay in seconds (dynamic, and static past the ID space)")
     p.add_argument("--gap", type=float, default=DEFAULT_GAP,
                    help="inter-arrival time in seconds")
     p.add_argument("--padding", action="store_true",

@@ -45,8 +45,8 @@ class DictionaryState:
     learn() evicts the entry with the smallest (last_used, id) pair and
     recycles its identifier.
 
-    Every basis is checked against basis_bits when it is learned or
-    loaded, so the read methods check their argument only on a miss.
+    Every basis is checked against basis_bits when it is learned, so the
+    read methods check their argument only on a miss.
     """
 
     def __init__(self, id_width: int = 15, basis_bits: int | None = None):
@@ -207,28 +207,20 @@ class DictionaryState:
         return heap[0]
 
     # -- snapshot format: one "<id-decimal> <basis-hex>" line per entry,
-    # sorted by id; used to pre-load static tables.
+    # sorted by id; read_snapshot reads it back to pre-load static tables.
 
     def save(self, path) -> None:
         width = (self.basis_bits + 3) // 4 if self.basis_bits else 1
         lines = [f"{id_} {basis:0{width}x}" for id_, basis in self.items()]
         Path(path).write_text("".join(line + "\n" for line in lines))
 
-    @classmethod
-    def load(cls, path, id_width: int = 15, basis_bits: int | None = None,
-             now=0) -> "DictionaryState":
-        state = cls(id_width=id_width, basis_bits=basis_bits)
-        for id_, basis in read_snapshot(path, id_width, basis_bits):
-            state.learn(basis, now, id_)
-        state._tick(now)
-        return state
-
 
 def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
                   ) -> list[tuple[int, int]]:
     """A snapshot file's (id, basis) pairs, highest ID first (the cheap
-    order for learn and ControlPlane.preload), checked as DictionaryState
-    .load would install them: SnapshotError names the first bad line."""
+    order for learn and ControlPlane.preload), checked so that each pair
+    installs under its own ID: in range, no ID or basis twice, the basis
+    fits basis_bits. SnapshotError names the first bad line."""
     check = DictionaryState(id_width, basis_bits)._check_basis
     try:
         text = Path(path).read_bytes().decode()

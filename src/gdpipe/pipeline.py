@@ -3,8 +3,8 @@
 Three packet types cross the link: RAW (1) carries an unprocessed 2^m-bit
 chunk, SYN_BASIS (2) carries syndrome + MSB + basis, SYN_ID (3) carries
 syndrome + MSB + a short dictionary identifier. The control plane learns
-unknown bases from digests and installs the mapping decoder-side first,
-after a configurable delay.
+unknown bases from digests after a configurable delay and installs each
+mapping in that one poll, decoder side first.
 
 Time is discrete-event. Configs speak float seconds; internally every
 timestamp is an integer nanosecond count so scheduling comparisons are
@@ -154,7 +154,6 @@ class PipelineConfig:
     id_width: int = 15
     learning_delay: float = 1.77e-3  # seconds; +inf disables learning
     alignment_padding: bool = False
-    decoder_install_lead: float = 1.0  # fraction of learning_delay
 
     def __post_init__(self):
         if self.m not in GENERATOR_REGISTRY:
@@ -163,8 +162,6 @@ class PipelineConfig:
             raise ValueError("id_width must be in 1..24")
         if self.learning_delay != inf:
             _time_ns(self.learning_delay, "learning_delay")
-        if not 0.0 <= self.decoder_install_lead <= 1.0:
-            raise ValueError("decoder_install_lead must be in [0, 1]")
 
     @property
     def chunk_bits(self) -> int:
@@ -263,13 +260,15 @@ def parse_frame(kind: int, payload: bytes, config: PipelineConfig):
 # -- control plane ----------------------------------------------------------
 
 class ControlPlane:
-    """Digest queue plus two-phase installs: the only writer of both switch tables.
+    """Digest queue plus delayed installs: the only writer of both switch tables.
 
-    Phase 1 (at emitted + lead*delay): allocate an ID via the shared
-    dictionary -- this is the decoder-side install, since the decoder reads
-    the shared reverse map directly. Phase 2 (at emitted + delay): add the
-    mapping to `forward`, the encoder's basis -> ID table. Evictions clear
-    the encoder side first so no frame is ever compressed against a dying ID.
+    A digest emitted at t falls due at t + delay. One poll first learns
+    every due digest through the shared dictionary, in emission order --
+    the decoder-side install, since the decoder reads the shared reverse
+    map directly -- and then adds each learned mapping whose entry still
+    holds its ID to `forward`, the encoder's basis -> ID table: a later
+    digest in the same poll can evict an earlier one. Evictions clear the
+    encoder side first so no frame is ever compressed against a dying ID.
 
     The plane is polled after each arrival, so an install becomes effective
     for the traffic *after* the first arrival at or past its ready time.
@@ -280,27 +279,16 @@ class ControlPlane:
         self._state = state
         self._counters = counters
         self.forward: dict[int, int] = {}  # basis -> id, as the encoder sees it
-        if isinf(config.learning_delay):
-            self._enc_delay = self._dec_delay = None
-        else:
-            self._enc_delay = _to_ns(config.learning_delay)
-            self._dec_delay = _to_ns(config.decoder_install_lead
-                                     * config.learning_delay)
-        self._unalloc: deque[tuple[int, int]] = deque()        # (basis, emit_ns)
-        self._alloc: deque[tuple[int, int, int]] = deque()     # (basis, emit_ns, id)
+        # ns from a digest to its install; None: never
+        self.delay = None if isinf(config.learning_delay) else _to_ns(config.learning_delay)
+        self._queue: deque[tuple[int, int]] = deque()  # (basis, emit_ns)
         self._pending: set[int] = set()
 
     @property
     def next_event_ns(self) -> int | None:
-        if self._enc_delay is None:
+        if self.delay is None or not self._queue:
             return None
-        nxt = None
-        if self._unalloc:
-            nxt = self._unalloc[0][1] + self._dec_delay
-        if self._alloc:
-            t = self._alloc[0][1] + self._enc_delay
-            nxt = t if nxt is None else min(nxt, t)
-        return nxt
+        return self._queue[0][1] + self.delay
 
     def submit(self, basis: int, now_ns: int) -> bool:
         """Queue a digest for an unknown basis; False if one is already
@@ -309,7 +297,7 @@ class ControlPlane:
             return False
         self._pending.add(basis)
         self._counters.digests += 1
-        self._unalloc.append((basis, now_ns))
+        self._queue.append((basis, now_ns))
         return True
 
     def _learn(self, basis: int, now_ns: int, id_: int | None = None,
@@ -341,23 +329,22 @@ class ControlPlane:
         return added
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
-        """Process every digest whose phase is due; returns the (basis, id)
-        pairs whose forward mapping completed during this step."""
-        if self._enc_delay is None:
+        """Learn every due digest, then install each mapping still held;
+        returns the (basis, id) pairs whose forward mapping completed."""
+        if self.delay is None:
             return []
-        while self._unalloc and self._unalloc[0][1] + self._dec_delay <= now_ns:
-            basis, emit_ns = self._unalloc.popleft()
+        learned = []
+        while self._queue and self._queue[0][1] + self.delay <= now_ns:
+            basis = self._queue.popleft()[0]
+            self._pending.discard(basis)
             outcome = self._learn(basis, now_ns)
             if outcome is None:  # preloaded while its digest waited
-                self._pending.discard(basis)
                 continue
             if outcome.evicted_basis is not None:  # basis 0 is a basis too
                 self._counters.evictions += 1
-            self._alloc.append((basis, emit_ns, outcome.assigned))
+            learned.append((basis, outcome.assigned))
         completed = []
-        while self._alloc and self._alloc[0][1] + self._enc_delay <= now_ns:
-            basis, _, id_ = self._alloc.popleft()
-            self._pending.discard(basis)
+        for basis, id_ in learned:
             cur = self._state.entry(basis)
             if cur is not None and cur[0] == id_:
                 self.forward[basis] = id_
@@ -677,7 +664,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
-    lead = cp._dec_delay  # ns from a digest to its decoder-side install; None: never
+    delay = cp.delay
     for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
         stop = start + len(rows)
         last = (stop - 1) * gap_ns
@@ -686,7 +673,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
         # put, and submit and lookup_id touch disjoint state. A first chunk
         # that misses, its install due in the window, skips the grouping
         if _learn_static or (nxt is None or nxt > last) and (
-                lead is None or start * gap_ns + lead > last
+                delay is None or start * gap_ns + delay > last
                 or int.from_bytes(rows[0].tobytes(), "big") in cp.forward):
             first, group = _group_rows(rows)
             distinct = rows[first].tobytes()
@@ -699,8 +686,8 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 cp.preload(new)
             ids = list(map(get_fwd, bases))
             missed = [g for g, id_ in enumerate(ids) if id_ is None]
-            eventless = not missed or lead is None or (
-                start + int(first[missed[0]])) * gap_ns + lead > last
+            eventless = not missed or delay is None or (
+                start + int(first[missed[0]])) * gap_ns + delay > last
         if eventless:
             lost = []
             for g, (id_, basis) in enumerate(zip(ids, bases)):

@@ -271,6 +271,21 @@ class TestRun:
         assert capsys.readouterr().err == "error: --gzip-bytes must be >= 0, got -5\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag, via", [("--report", "same path"),
+                                           ("--snapshot-out", "symlink")])
+    def test_output_that_is_the_input_exits_2(self, tmp_path, capsys, flag, via):
+        # the run used to exit 0 and replace the trace with its output
+        path, _ = make_trace(tmp_path)
+        before = path.read_bytes()
+        out = path
+        if via == "symlink":
+            out = tmp_path / "link.gdtrace"
+            out.symlink_to(path)
+        assert main(["run", str(path), "--mode", "static", flag, str(out)]) == 2
+        # refused before the replay, which would print its summary first
+        assert capsys.readouterr() == ("", f"error: output {out} is the input trace itself\n")
+        assert path.read_bytes() == before
+
     # 16 bases fill the 4-bit ID space exactly; preloading 17 would evict,
     # so the run starts again from compute_bases
     @pytest.mark.parametrize("bases, passes", [(16, 1), (17, 3)])

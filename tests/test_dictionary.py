@@ -10,6 +10,15 @@ from gdpipe.dictionary import (
     SnapshotError,
     read_snapshot,
 )
+from gdpipe.pipeline import ControlPlane, Counters, PipelineConfig
+
+
+def preloaded(path, id_width, basis_bits=None):
+    """A fresh state preloaded from a snapshot, as `run --snapshot-in` does."""
+    pairs = read_snapshot(path, id_width, basis_bits)
+    state = DictionaryState(id_width, basis_bits)
+    ControlPlane(state, Counters(), PipelineConfig(id_width=id_width)).preload(pairs)
+    return state
 
 
 class ReferenceModel:
@@ -129,7 +138,7 @@ class TestLearnAtId:
     def test_matches_load(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("6 4\n0 1\n3 3\n2 2\n")
-        loaded = DictionaryState.load(path, id_width=3)
+        loaded = preloaded(path, id_width=3)
         state = DictionaryState(id_width=3)
         for id_, basis in [(6, 4), (0, 1), (3, 3), (2, 2)]:
             state.learn(basis, now=0, id_=id_)
@@ -281,7 +290,7 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         state.save(path)
         assert path.read_text() == "0 7ff\n1 001\n2 2a5\n"
-        loaded = DictionaryState.load(path, id_width=4, basis_bits=11)
+        loaded = preloaded(path, id_width=4, basis_bits=11)
         assert loaded.items() == state.items()
         assert loaded.free_ids() == tuple(range(3, 16))
         check_invariants(loaded)
@@ -289,7 +298,7 @@ class TestSnapshot:
     def test_load_with_id_holes(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("1 0a\n5 0b\n")
-        loaded = DictionaryState.load(path, id_width=3)
+        loaded = preloaded(path, id_width=3)
         assert loaded.items() == [(1, 0x0A), (5, 0x0B)]
         assert loaded.free_ids() == (0, 2, 3, 4, 6, 7)
 
@@ -304,7 +313,7 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         path.write_text(text)
         with pytest.raises(SnapshotError):
-            DictionaryState.load(path, id_width=3)
+            preloaded(path, id_width=3)
 
     @pytest.mark.parametrize("text,message", [
         ("0\n", "line 1: expected '<id> <basis-hex>'"),
@@ -323,7 +332,7 @@ class TestSnapshot:
             read_snapshot(path, id_width=3)
         assert str(exc.value) == message
         with pytest.raises(SnapshotError) as exc:
-            DictionaryState.load(path, id_width=3)
+            preloaded(path, id_width=3)
         assert str(exc.value) == message
 
     def test_read_snapshot_pairs_highest_id_first(self, tmp_path):
@@ -336,14 +345,14 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         path.write_text(text)
         with pytest.raises(SnapshotError, match="line 1"):
-            DictionaryState.load(path, id_width=3, basis_bits=11)
+            preloaded(path, id_width=3, basis_bits=11)
 
     def test_load_rejects_non_utf8(self, tmp_path):
         # used to escape as a bare UnicodeDecodeError
         path = tmp_path / "snap.txt"
         path.write_bytes(b"\xff\xfe\x00junk")
         with pytest.raises(SnapshotError, match="snap.txt"):
-            DictionaryState.load(path, id_width=3)
+            preloaded(path, id_width=3)
 
 
 def test_conservation_under_many_learns():
@@ -363,7 +372,7 @@ def test_memory_follows_the_data_not_the_id_space(tmp_path):
         state = DictionaryState(id_width=24)
         for t in range(5):
             state.learn(100 + t, now=t)
-        loaded = DictionaryState.load(path, id_width=24)
+        loaded = preloaded(path, id_width=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,7 +387,7 @@ def test_memory_follows_the_data_not_the_id_space(tmp_path):
 def test_free_pool_drains_in_order_around_holes(tmp_path):
     path = tmp_path / "snap.txt"
     path.write_text("0 1\n2 2\n3 3\n6 4\n")
-    state = DictionaryState.load(path, id_width=3)
+    state = preloaded(path, id_width=3)
     assert state.free_ids() == (1, 4, 5, 7)
     assert [state.learn(10 + t, now=t).assigned for t in range(4)] == [1, 4, 5, 7]
     assert state.free_ids() == () and state.free_count == 0

@@ -16,6 +16,8 @@ from gdpipe.pipeline import (
     RAW,
     SYN_BASIS,
     SYN_ID,
+    ControlPlane,
+    Counters,
     PipelineConfig,
     parse_frame,
     raw_nbytes,
@@ -111,9 +113,11 @@ snapshot_line = st.builds("{} {}".format, st.integers(-2, 40),
 def test_snapshot_load(scratch, content, id_width, basis_bits):
     scratch.write_bytes(content)
     try:
-        state = DictionaryState.load(scratch, id_width, basis_bits=basis_bits)
+        pairs = read_snapshot(scratch, id_width, basis_bits)
     except GdError:
         return
+    state = DictionaryState(id_width, basis_bits)
+    ControlPlane(state, Counters(), PipelineConfig(id_width=id_width)).preload(pairs)
     assert state.free_count + len(state.items()) == state.capacity
 
 

@@ -181,7 +181,6 @@ class TestConfig:
         dict(id_width=25),
         dict(learning_delay=-1.0),
         dict(learning_delay=float("nan")),
-        dict(decoder_install_lead=1.5),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
@@ -314,23 +313,20 @@ class TestControlPlane:
         assert pipe.counters.installs == 1 and pipe.counters.evictions == 1
         assert pipe.state.lookup_basis(0) == 0  # id 0 recycled to basis 0000
 
-    def test_decoder_visible_before_encoder(self):
-        cfg = PipelineConfig(m=3, learning_delay=1e-3, decoder_install_lead=0.5)
-        pipe = Pipeline(cfg)
-        chunk = chunk_of("00000100")
-        pipe.encoder.process(Frame(RAW, chunk.to_bytes(), 0.0), 0.0)
-        pipe.control_plane_step(0.5e-3)
-        # reverse mapping live, forward not yet
-        assert pipe.state.lookup_basis(0) == 0
-        assert 0 not in pipe.encoder.forward
-        out, _ = pipe.encoder.process(Frame(RAW, chunk.to_bytes(), 0.6e-3), 0.6e-3)
-        assert out.kind == SYN_BASIS
-        pipe.control_plane_step(1e-3)
-        assert pipe.encoder.forward.get(0) == 0
+    def test_poll_learns_every_due_digest_before_installing(self):
+        # three digests fall due in one poll with two IDs: learning basis 3
+        # evicts basis 1 before basis 1's install, so only 2 and 3 install
+        pipe = Pipeline(PipelineConfig(m=3, id_width=1, learning_delay=1e-6))
+        code = pipe.code
+        for b in (1, 2, 3):
+            pipe.push_chunk(join_chunk(0, gd_decode(0, BitChunk(code.k, b), code), code), 0.0)
+        assert pipe.control_plane_step(1e-6) == [(2, 1), (3, 0)]
+        assert (pipe.counters.installs, pipe.counters.evictions) == (2, 1)
+        assert pipe.state.items() == [(0, 3), (1, 2)]
+        pipe.counters.verify()
 
     def test_forward_view_always_subset_of_reverse(self):
-        cfg = PipelineConfig(m=3, id_width=1, learning_delay=2e-6,
-                             decoder_install_lead=0.5)
+        cfg = PipelineConfig(m=3, id_width=1, learning_delay=2e-6)
         pipe = Pipeline(cfg)
         rng = random.Random(2)
         for i in range(300):
@@ -574,8 +570,7 @@ class TestWideCodes:
                          distinct_bases=6, codeword_prob=0.3)
         trace = gen_synthetic(spec)
         delay = {"static": 1.77e-3, "dynamic": 3e-6, "no-table": math.inf}[mode]
-        cfg = PipelineConfig(m=m, id_width=2, learning_delay=delay,
-                             decoder_install_lead=0.5)
+        cfg = PipelineConfig(m=m, id_width=2, learning_delay=delay)
         bases = compute_bases(trace, cfg)
         preload = bases[:4] if mode == "static" else None
         holder = []
@@ -654,16 +649,14 @@ def _window_case(mode):
     if mode == "m14":
         spec = TraceSpec(seed=14, chunk_count=40, chunk_bits=1 << 14,
                          distinct_bases=6, codeword_prob=0.3)
-        cfg = PipelineConfig(m=14, id_width=2, learning_delay=3e-6,
-                             decoder_install_lead=0.5)
+        cfg = PipelineConfig(m=14, id_width=2, learning_delay=3e-6)
         return gen_synthetic(spec), cfg, None
     # 40 bases against 16 IDs: the dynamic mode evicts, and the static
     # table holds only some of the bases
     spec = TraceSpec(seed=5, chunk_count=4500, chunk_bits=32,
                      distinct_bases=40, codeword_prob=0.3)
     delay = {"static": 1.77e-3, "dynamic": 3e-6, "no-table": math.inf}[mode]
-    cfg = PipelineConfig(m=5, id_width=4, learning_delay=delay,
-                         decoder_install_lead=0.5)
+    cfg = PipelineConfig(m=5, id_width=4, learning_delay=delay)
     trace = gen_synthetic(spec)
     preload = _scalar_bases(trace, cfg)[:12] if mode == "static" else None
     return trace, cfg, preload
@@ -855,14 +848,12 @@ class TestAllHitWindows:
         assert dict_calls["lookup_basis"] == resolves
         assert dict_calls["lookup_id"] == counters.out_syn_id
 
-    @pytest.mark.parametrize("lead", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("gap", [1e-6, 2.5e-6])
-    def test_dynamic_run_whose_later_windows_all_hit(self, monkeypatch, dict_calls,
-                                                     lead, gap):
+    def test_dynamic_run_whose_later_windows_all_hit(self, monkeypatch, dict_calls, gap):
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", 32 * 32)
         trace = gen_synthetic(TraceSpec(seed=31, chunk_count=600, chunk_bits=256,
                                         distinct_bases=5, codeword_prob=0.3))
-        cfg = PipelineConfig(m=8, learning_delay=7e-6, decoder_install_lead=lead)
+        cfg = PipelineConfig(m=8, learning_delay=7e-6)
         counters = _replay_against_scalar(trace, cfg, gap, calls=dict_calls)
         assert counters.installs == 5 and counters.out_syn_basis > 0
         # the windows after learning settles resolve at most 5 of 32 rows
@@ -913,24 +904,18 @@ class TestEventlessWindows:
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
 
     # B is first missed at chunk 3 of window 0 (chunks 0-7), so its
-    # decoder-side install falls due at chunk 3 + lead * delay: at chunk 7,
-    # the window's last, which then runs chunk by chunk (A resolves 6 times
-    # and B submits twice), or at chunk 8, which leaves window 0 eventless
-    # (once each). lead 0 makes the install due at the miss itself.
+    # install falls due at chunk 3 + delay: at chunk 7, the window's last,
+    # which then runs chunk by chunk (A resolves 6 times and B submits
+    # twice), or at chunk 8, which leaves window 0 eventless (once each).
     PER_CHUNK, EVENTLESS = (6, 2), (1, 1)  # window 0's (resolves, submits)
 
-    @pytest.mark.parametrize("lead, delay, window0, window1", [
-        (1.0, 4, PER_CHUNK, (2, 0)),
-        (1.0, 5, EVENTLESS, (8, 0)),
-        (0.5, 8, PER_CHUNK, (6, 2)),
-        (0.5, 10, EVENTLESS, (5, 3)),
-        (0.0, 4, PER_CHUNK, (2, 0)),
-        (0.0, 5, PER_CHUNK, (8, 0)),
+    @pytest.mark.parametrize("delay, window0, window1", [
+        (4, PER_CHUNK, (2, 0)),
+        (5, EVENTLESS, (8, 0)),
     ])
-    def test_first_miss_install_due_at_the_window_end(self, calls, lead, delay,
-                                                      window0, window1):
+    def test_first_miss_install_due_at_the_window_end(self, calls, delay, window0, window1):
         trace = _pattern_trace("AAABABAA" + "AB" * 4)
-        cfg = PipelineConfig(m=8, learning_delay=delay * 1e-6, decoder_install_lead=lead)
+        cfg = PipelineConfig(m=8, learning_delay=delay * 1e-6)
         a = _chunk_bases(trace, cfg)[0]
         counters = _replay_against_scalar(trace, cfg, 1e-6, [a], calls)
         assert counters.digests == 1
@@ -956,21 +941,18 @@ class TestEventlessWindows:
     def test_windows_of_hits_and_misses(self, calls):
         trace = _pattern_trace("".join("A" * 5 + "BC"[w % 2] + "DEFGH"[w % 5] + "A"
                                        for w in range(10)))
-        cfg = PipelineConfig(m=8, id_width=2, learning_delay=40e-6,
-                             decoder_install_lead=0.5)
+        cfg = PipelineConfig(m=8, id_width=2, learning_delay=40e-6)
         counters = _replay_against_scalar(trace, cfg, 1e-6, calls=calls)
         assert counters.installs > 0 and counters.evictions > 0
         assert calls["lookup_id"] == counters.out_syn_id
 
     @pytest.mark.parametrize("m, count", [(3, 400), (8, 300), (14, 40)])
     @pytest.mark.parametrize("gap", [0.0, 1e-6])
-    @pytest.mark.parametrize("lead", [0.0, 0.5, 1.0])
-    def test_matches_scalar(self, monkeypatch, calls, m, count, gap, lead):
+    def test_matches_scalar(self, monkeypatch, calls, m, count, gap):
         trace = gen_synthetic(TraceSpec(seed=60 + m, chunk_count=count, chunk_bits=1 << m,
                                         distinct_bases=5, codeword_prob=0.3))
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", 16 * trace.chunk_nbytes)
-        cfg = PipelineConfig(m=m, id_width=2, learning_delay=40e-6,
-                             decoder_install_lead=lead)
+        cfg = PipelineConfig(m=m, id_width=2, learning_delay=40e-6)
         counters = _replay_against_scalar(trace, cfg, gap, calls=calls)
         assert calls["lookup_id"] == counters.out_syn_id
 
@@ -1206,7 +1188,6 @@ def _random_config(rng):
         id_width=rng.choice([1, 2, 3]),
         learning_delay=rng.choice([0.0, 2e-6, 3.7e-6, 1e-5, math.inf]),
         alignment_padding=rng.random() < 0.5,
-        decoder_install_lead=rng.choice([0.0, 0.5, 1.0]),
     )
 
 
