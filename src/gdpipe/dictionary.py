@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .gdcore import GdError
 
@@ -27,8 +27,7 @@ class SnapshotError(GdError):
     """A snapshot file is malformed or inconsistent with the state."""
 
 
-@dataclass(frozen=True, slots=True)
-class LearnOutcome:
+class LearnOutcome(NamedTuple):
     """Result of learning one basis: the assigned ID, plus the basis that
     was evicted to free it (None while unused IDs remain)."""
 
@@ -64,16 +63,19 @@ class DictionaryState:
         self._free: list[range] = [range(self.capacity)]
         self._free_count = self.capacity
         self._clock = 0
-        # eviction candidates: an (id, basis) heap holding every entry whose
-        # last_used is _oldest_stamp, the smallest stamp of any entry. Hits
-        # (which move an entry to a later stamp) and evictions leave stale
-        # records that _pick_victim drops; once none is left it rebuilds
-        # the heap from the next group, so each eviction costs O(log group)
+        # eviction candidates: an (id, basis) heap of every entry whose
+        # last_used is _oldest_stamp, the smallest stamp, while that group
+        # holds several. Hits (to a later stamp) leave stale records that
+        # _pick_victim drops, and an eviction pops its victim's; once none
+        # is left it rebuilds the heap from the next group: O(log group)
         self._oldest: list[tuple[int, int]] = []
         self._oldest_stamp = None
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, basis) -> bool:
+        return basis in self._entries
 
     @property
     def free_count(self) -> int:
@@ -123,11 +125,6 @@ class DictionaryState:
         if self.basis_bits is not None and basis >> self.basis_bits:
             raise ValueError(f"basis does not fit in {self.basis_bits} bits")
 
-    def _tick(self, now):
-        if now > self._clock:
-            self._clock = now
-        return self._clock
-
     def lookup_id(self, basis: int, now) -> int | None:
         """Encoder-side read: returns the ID on a hit and refreshes its
         recency; a miss returns None and mutates nothing."""
@@ -157,9 +154,11 @@ class DictionaryState:
         drops such a digest). A given `id_` must be free (ValueError
         otherwise) and is taken instead of the lowest free ID.
         """
-        self._check_basis(basis)
-        if basis in self._entries:
-            raise AlreadyKnown(f"basis already mapped to id {self._entries[basis][0]}")
+        if basis < 0 or self.basis_bits is not None and basis >> self.basis_bits:
+            self._check_basis(basis)
+        entries = self._entries
+        if basis in entries:
+            raise AlreadyKnown(f"basis already mapped to id {entries[basis][0]}")
         evicted = None
         if id_ is not None:
             self._take(id_)
@@ -167,14 +166,19 @@ class DictionaryState:
             id_ = self._take_free()
         else:
             id_, evicted = self._pick_victim()
-            del self._entries[evicted]
+            if self._oldest:  # the victim's own record, on top
+                heapq.heappop(self._oldest)
+            del entries[evicted]
             del self._reverse[id_]
-        now = self._tick(now)
-        self._entries[basis] = [id_, now]
+        if now > self._clock:
+            self._clock = now
+        now = self._clock
+        entries[basis] = [id_, now]
         self._reverse[id_] = basis
         if now == self._oldest_stamp:
             heapq.heappush(self._oldest, (id_, basis))
-        return LearnOutcome(assigned=id_, evicted_basis=evicted)
+        # tuple.__new__ skips the NamedTuple's Python-level constructor
+        return tuple.__new__(LearnOutcome, (id_, evicted))
 
     def peek_victim(self) -> tuple[int, int] | None:
         """The (id, basis) that the next learn() would evict, or None while
@@ -184,8 +188,8 @@ class DictionaryState:
         return self._pick_victim()
 
     def _pick_victim(self) -> tuple[int, int]:
-        """The (id, basis) with the smallest (last_used, id), left at the
-        top of the _oldest heap."""
+        """The (id, basis) with the smallest (last_used, id): the top of the
+        _oldest heap, which stays empty while that group is one entry."""
         heap = self._oldest
         while heap:
             id_, basis = heap[0]
@@ -194,16 +198,19 @@ class DictionaryState:
                 return id_, basis
             heapq.heappop(heap)
         # entries are in touch order with non-decreasing last_used, so the
-        # group with the smallest stamp is a prefix
+        # group with the smallest stamp is a prefix; a one-entry group
+        # needs no heap, since no later learn can join its older stamp
         it = iter(self._entries.items())
         basis, (id_, stamp) = next(it)
-        heap.append((id_, basis))
+        self._oldest_stamp = stamp
         for b, (i, t) in it:
             if t != stamp:
                 break
             heap.append((i, b))
+        if not heap:
+            return id_, basis
+        heap.append((id_, basis))
         heapq.heapify(heap)
-        self._oldest_stamp = stamp
         return heap[0]
 
     # -- snapshot format: one "<id-decimal> <basis-hex>" line per entry,

@@ -304,11 +304,12 @@ class ControlPlane:
                ) -> LearnOutcome | None:
         """Learn a basis, dropping the LRU victim's forward entry first if
         no ID is free; None, changing nothing, if the basis is mapped."""
-        if self._state.entry(basis) is not None:
+        state = self._state
+        if basis in state:
             return None
-        if id_ is None and self._state.free_count == 0:
-            self.forward.pop(self._state.peek_victim()[1], None)
-        return self._state.learn(basis, now_ns, id_)
+        if id_ is None and state.free_count == 0:
+            self.forward.pop(state.peek_victim()[1], None)
+        return state.learn(basis, now_ns, id_)
 
     def preload(self, items, now_ns: int = 0) -> int:
         """Learn and make bases visible to both sides immediately.
@@ -331,26 +332,26 @@ class ControlPlane:
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
         """Learn every due digest, then install each mapping still held;
         returns the (basis, id) pairs whose forward mapping completed."""
-        if self.delay is None:
+        delay, queue, counters = self.delay, self._queue, self._counters
+        if delay is None:
             return []
         learned = []
-        while self._queue and self._queue[0][1] + self.delay <= now_ns:
-            basis = self._queue.popleft()[0]
+        while queue and queue[0][1] + delay <= now_ns:
+            basis = queue.popleft()[0]
             self._pending.discard(basis)
             outcome = self._learn(basis, now_ns)
             if outcome is None:  # preloaded while its digest waited
                 continue
             if outcome.evicted_basis is not None:  # basis 0 is a basis too
-                self._counters.evictions += 1
+                counters.evictions += 1
             learned.append((basis, outcome.assigned))
-        completed = []
+        if len(learned) > 1:  # a later learn may have evicted an earlier one
+            state = self._state
+            learned = [(b, i) for b, i in learned if b in state and state.entry(b)[0] == i]
         for basis, id_ in learned:
-            cur = self._state.entry(basis)
-            if cur is not None and cur[0] == id_:
-                self.forward[basis] = id_
-                self._counters.installs += 1
-                completed.append((basis, id_))
-        return completed
+            self.forward[basis] = id_
+        counters.installs += len(learned)
+        return learned
 
 
 # -- scalar per-frame nodes -------------------------------------------------

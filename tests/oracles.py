@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here works on MSB-first bit lists via schoolbook long division,
-deliberately sharing no code with the library's int/table-based paths.
+The codec references work on MSB-first bit lists via schoolbook long
+division, deliberately sharing no code with the library's int/table-based
+paths; ControlPlaneModel is a linear-scan model of the control plane.
 """
 
 
@@ -80,3 +81,66 @@ def snapshot_by_learning(text: str, id_width: int, basis_bits):
         except (ValueError, AlreadyKnown) as exc:
             return f"line {ln}: {exc}"
     return state.items()[::-1]
+
+
+class ControlPlaneModel:
+    """Linear-scan model of the control plane and its LRU dictionary.
+
+    A FIFO digest queue with pending suppression; a digest falls due
+    `delay` ns after it was emitted and is learned at the poll that finds
+    it due, evicting the entry with the smallest (last_used, id) once every
+    ID is taken. A learned mapping is installed on the encoder side only if
+    it still holds its ID when the poll ends. Shares no code with gdpipe.
+    """
+
+    def __init__(self, id_width: int, delay: int):
+        self.capacity = 1 << id_width
+        self.delay = delay
+        self.entries = {}  # basis -> [id, last_used]
+        self.forward = {}  # basis -> id, the encoder's table
+        self.queue = []    # [basis, emitted], oldest first
+        self.clock = 0
+        self.digests = self.installs = self.evictions = 0
+
+    def hit(self, basis, now):
+        """Encoder-side hit: the ID, its entry stamped with the clock."""
+        self.clock = max(self.clock, now)
+        self.entries[basis][1] = self.clock
+        return self.forward[basis]
+
+    def submit(self, basis, now) -> bool:
+        if any(b == basis for b, _ in self.queue):
+            return False
+        self.queue.append([basis, now])
+        self.digests += 1
+        return True
+
+    def poll(self, now):
+        learned = []
+        while self.queue and self.queue[0][1] + self.delay <= now:
+            basis, _ = self.queue.pop(0)
+            if basis in self.entries:
+                continue
+            used = [e[0] for e in self.entries.values()]
+            if len(used) < self.capacity:
+                id_ = min(i for i in range(self.capacity) if i not in used)
+            else:
+                victim = min(self.entries, key=lambda b: self.entries[b][::-1])
+                id_ = self.entries.pop(victim)[0]
+                self.forward.pop(victim, None)
+                self.evictions += 1
+            self.clock = max(self.clock, now)
+            self.entries[basis] = [id_, self.clock]
+            learned.append((basis, id_))
+        done = [(b, i) for b, i in learned if self.entries.get(b, [None])[0] == i]
+        for basis, id_ in done:
+            self.forward[basis] = id_
+        self.installs += len(done)
+        return done
+
+    def items(self):
+        return sorted((e[0], b) for b, e in self.entries.items())
+
+    def entry(self, basis):
+        e = self.entries.get(basis)
+        return None if e is None else (e[0], e[1])

@@ -116,6 +116,20 @@ class TestBasics:
         assert state.lookup_id(15, now=9) == 3 and state.lookup_basis(3) == 15
 
 
+class TestLearnOutcome:
+    def test_fields_and_equality(self):
+        out = LearnOutcome(assigned=5, evicted_basis=None)
+        assert (out.assigned, out.evicted_basis) == (5, None)
+        assert out == LearnOutcome(5, None)
+        assert out != LearnOutcome(5, 0)
+
+    def test_is_read_only(self):
+        out = LearnOutcome(5, 7)
+        with pytest.raises(AttributeError):
+            out.assigned = 6
+        assert out.assigned == 5
+
+
 class TestLearnAtId:
     def test_takes_the_given_id(self):
         state = DictionaryState(id_width=3)
@@ -267,6 +281,52 @@ class TestAgainstReference:
                 assert state.lookup_id(touched, now=0) == model.lookup(touched, now=0)
             out = state.learn(basis, now=0)
             assert (out.assigned, out.evicted_basis) == model.learn(basis, now=0)
+        check_invariants(state)
+
+    def test_hit_and_learn_at_one_stamp_form_a_two_entry_group(self):
+        # a hit at t=5 and a poll-time learn at t=5 leave two entries on the
+        # oldest stamp; the smaller ID goes first, then the other
+        state = DictionaryState(id_width=1)
+        model = ReferenceModel(1)
+        steps = [("learn", 100, 0), ("learn", 101, 1), ("hit", 101, 5), ("learn", 102, 5),
+                 ("learn", 103, 6), ("learn", 104, 7), ("hit", 104, 9), ("learn", 105, 9),
+                 ("learn", 106, 9)]
+        for op, basis, now in steps:
+            if op == "hit":
+                assert state.lookup_id(basis, now) == model.lookup(basis, now)
+                continue
+            want = model.learn(basis, now)
+            if want[1] is not None:
+                assert state.peek_victim() == want
+            out = state.learn(basis, now)
+            assert (out.assigned, out.evicted_basis) == want
+            check_invariants(state)
+        assert {b: list(state.entry(b)) for _, b in state.items()} == model.entries
+
+    @pytest.mark.parametrize("stamps", ["distinct", "tied"])
+    def test_repeated_peeks_name_the_victim_learn_evicts(self, stamps):
+        state = DictionaryState(id_width=3)
+        model = ReferenceModel(3)
+        for t in range(40):
+            now = t if stamps == "distinct" else t // 12
+            want = model.learn(1000 + t, now)
+            if want[1] is not None:
+                assert state.peek_victim() == state.peek_victim() == want
+            out = state.learn(1000 + t, now)
+            assert (out.assigned, out.evicted_basis) == want
+        check_invariants(state)
+
+    def test_learn_without_a_peek_at_distinct_stamps(self):
+        rng = random.Random(11)
+        state = DictionaryState(id_width=4)
+        model = ReferenceModel(4)
+        for t in range(600):
+            basis = rng.randrange(48)
+            got = state.lookup_id(basis, now=t)
+            assert got == model.lookup(basis, now=t)
+            if got is None:
+                out = state.learn(basis, now=t)
+                assert (out.assigned, out.evicted_basis) == model.learn(basis, now=t)
         check_invariants(state)
 
     def test_determinism(self):

@@ -27,6 +27,7 @@ from gdpipe.pipeline import (
     SYN_BASIS,
     SYN_ID,
     CompressedChunk,
+    ControlPlane,
     Counters,
     DecodeMiss,
     Frame,
@@ -48,7 +49,7 @@ from gdpipe.pipeline import (
     write_pcap,
 )
 from gdpipe.traces import Trace, TraceSpec, gen_synthetic
-from oracles import remainder_of_int
+from oracles import ControlPlaneModel, remainder_of_int
 
 CFG3 = PipelineConfig(m=3, id_width=15, learning_delay=1.77e-3)
 CFG8 = PipelineConfig(m=8, id_width=15)
@@ -382,6 +383,49 @@ class TestControlPlane:
         assert counters.evictions == len(chunks) - state.capacity
         assert state.entry(0) is None and len(state) == 2
         counters.verify()
+
+
+class TestAgainstControlPlaneModel:
+    # churn-shaped traffic: uniform draws from 2-4x as many bases as IDs,
+    # with polls skipped at random so that some polls find several digests
+    # due and a later learn evicts an earlier one before its install
+    @pytest.mark.parametrize("gap_ns", [0, 1, 1000])
+    @pytest.mark.parametrize("id_width", [1, 2, 3, 4])
+    def test_matches_linear_scan_model(self, gap_ns, id_width):
+        rng = random.Random(id_width * 7 + gap_ns)
+        lost = []  # learned mappings evicted before their install, per delay
+        for delay_gaps in range(6):
+            delay = delay_gaps * gap_ns
+            cfg = PipelineConfig(m=8, id_width=id_width, learning_delay=delay * 1e-9)
+            counters = Counters()
+            state = DictionaryState(id_width)
+            cp = ControlPlane(state, counters, cfg)
+            model = ControlPlaneModel(id_width, delay)
+            assert cp.delay == delay
+            universe = rng.sample(range(1, 1 << 12), rng.randint(2, 4) << id_width) + [0]
+            for i in range(250):
+                t = i * gap_ns
+                basis = rng.choice(universe)
+                id_ = cp.forward.get(basis)
+                if id_ is None:
+                    assert cp.submit(basis, t) == model.submit(basis, t)
+                else:
+                    assert state.lookup_id(basis, t) == id_ == model.hit(basis, t)
+                last = i == 249
+                if last or rng.random() < 0.6:
+                    now = t + delay if last else t  # the last poll drains the queue
+                    assert cp.poll(now) == model.poll(now)
+                    assert (counters.digests, counters.installs, counters.evictions) == (
+                        model.digests, model.installs, model.evictions)
+                    assert cp.forward == model.forward
+                    assert state.items() == model.items()
+                    assert all(state.entry(b) == model.entry(b) for b in universe)
+            lost.append(model.digests - model.installs)
+            assert model.evictions
+        # at gap 0 every stamp ties, so a mapping learned early in a poll
+        # can hold the smallest (last_used, id) and lose its ID in that poll
+        if gap_ns == 0:
+            assert all(lost)
 
 
 class TestRunPipeline:
