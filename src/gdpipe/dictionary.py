@@ -154,8 +154,7 @@ class DictionaryState:
         drops such a digest). A given `id_` must be free (ValueError
         otherwise) and is taken instead of the lowest free ID.
         """
-        if basis < 0 or self.basis_bits is not None and basis >> self.basis_bits:
-            self._check_basis(basis)
+        self._check_basis(basis)
         entries = self._entries
         if basis in entries:
             raise AlreadyKnown(f"basis already mapped to id {entries[basis][0]}")
@@ -177,8 +176,7 @@ class DictionaryState:
         self._reverse[id_] = basis
         if now == self._oldest_stamp:
             heapq.heappush(self._oldest, (id_, basis))
-        # tuple.__new__ skips the NamedTuple's Python-level constructor
-        return tuple.__new__(LearnOutcome, (id_, evicted))
+        return LearnOutcome(id_, evicted)
 
     def peek_victim(self) -> tuple[int, int] | None:
         """The (id, basis) that the next learn() would evict, or None while

@@ -342,12 +342,12 @@ class ControlPlane:
             outcome = self._learn(basis, now_ns)
             if outcome is None:  # preloaded while its digest waited
                 continue
-            if outcome.evicted_basis is not None:  # basis 0 is a basis too
+            assigned, evicted = outcome
+            if evicted is not None:  # basis 0 is a basis too
                 counters.evictions += 1
-            learned.append((basis, outcome.assigned))
-        if len(learned) > 1:  # a later learn may have evicted an earlier one
-            state = self._state
-            learned = [(b, i) for b, i in learned if b in state and state.entry(b)[0] == i]
+                if learned:  # a later learn can evict an earlier one
+                    learned = [p for p in learned if p[0] != evicted]
+            learned.append((basis, assigned))
         for basis, id_ in learned:
             self.forward[basis] = id_
         counters.installs += len(learned)

@@ -129,6 +129,14 @@ class TestLearnOutcome:
             out.assigned = 6
         assert out.assigned == 5
 
+    def test_is_a_plain_pair(self):
+        # a named tuple: it equals, unpacks and indexes as (assigned, evicted_basis)
+        out = LearnOutcome(5, None)
+        assert out == (5, None) and len(out) == 2
+        assigned, evicted = out
+        assert (assigned, evicted, out[0]) == (5, None, 5)
+        assert DictionaryState(id_width=1).learn(3, now=0) == (0, None)
+
 
 class TestLearnAtId:
     def test_takes_the_given_id(self):
