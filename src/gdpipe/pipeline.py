@@ -497,11 +497,12 @@ class Pipeline:
 # -- vectorized trace replay ------------------------------------------------
 
 class _VectorTables:
-    """Byte-column lookup tables for whole-trace transforms, for any m.
+    """Bit masks for whole-trace transforms, for any m.
 
-    Chunks are rows of `width` big-endian bytes, so bit 8*(width-1-j)+b of
-    a chunk is bit b of column j. Remainders are linear, so each column
-    table is the XOR of eight single-bit remainders x^i mod g.
+    Chunks are rows of `width` big-endian bytes. Remainders are linear, so
+    bit b of a row's remainder is the parity of its bits whose single-bit
+    remainder x^pos mod g has bit b. Mask b marks those bits in the row's
+    own bytes, viewed as its u1/u2/u4/u8 words, so byte order cancels out.
     """
 
     def __init__(self, m: int, low_bits: int):
@@ -518,19 +519,17 @@ class _VectorTables:
             if r >> m:
                 r ^= full
         powers = np.array(powers, dtype=np.uint16)
-        v = np.arange(256, dtype=np.uint16)
 
-        def column_tables(first: int) -> np.ndarray:
-            # row j, entry v: remainder of v * x^(first + 8*(width-1-j))
+        def masks(first: int) -> np.ndarray:
+            # mask b, byte j, bit i: bit b of x^(first + 8*(width-1-j) + i) mod g
             bits = powers[first:first + 8 * width].reshape(width, 8)[::-1]
-            table = np.zeros((width, 256), dtype=np.uint16)
-            for b in range(8):
-                table ^= bits[:, b:b + 1] * ((v >> b) & 1)
-            return table
+            bits = (bits >> np.arange(m, dtype=np.uint16)[:, None, None]) & 1
+            return np.packbits(bits.astype(np.uint8), axis=2, bitorder="little",
+                               ).reshape(m, width).view(f"u{min(width, 8)}")
 
-        # syn[j][v] = (v << 8*(width-1-j)) mod g; par[j][v] adds m more shifts
-        self.syn = column_tables(0)
-        self.par = column_tables(m)
+        # syn for the chunk's remainder; par's remainders take m more shifts
+        self.syn = masks(0)
+        self.par = masks(m)
 
         # the syndrome of a single flipped bit at pos is x^pos mod g
         pos = np.arange(n)
@@ -540,12 +539,12 @@ class _VectorTables:
         self.flip_bit[powers[:n]] = (1 << (pos & 7)).astype(np.uint8)
 
         # msb and parity, bits k..n, are the top m+1 bits: inside the first
-        # `cols` bytes. Masking them off a codeword leaves its basis.
+        # `cols` bytes, one u{cols} word, set by place[msb, p], cleared by basis_mask
         self.cols = cols = min(2, width)
-        placed = np.arange(1 << m) << (k - 8 * (width - cols))
-        self.place = placed.astype(">u2").view(np.uint8).reshape(-1, 2)[:, 2 - cols:]
+        placed = np.arange(2 << m) << (k - 8 * (width - cols))
+        self.place = placed.astype(f">u{cols}").view(f"u{cols}").reshape(2, 1 << m)
         self.basis_mask = np.frombuffer(
-            ((1 << (8 * cols - m - 1)) - 1).to_bytes(cols, "big"), dtype=np.uint8)
+            ((1 << (8 * cols - m - 1)) - 1).to_bytes(cols, "big"), dtype=f"u{cols}")
         self.width = width
 
 
@@ -554,15 +553,17 @@ def _vector_tables(m: int, low_bits: int) -> _VectorTables:
     return _VectorTables(m, low_bits)
 
 
-def _column_xor(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per row, the XOR over columns j of table[j][rows[:, j]], gathered a
-    cache-sized block of rows at a time rather than a column at a time."""
-    flat = table.ravel()
-    offsets = np.arange(rows.shape[1], dtype=np.intp) * 256
-    out = np.empty(len(rows), dtype=np.uint16)
-    step = max(1, (1 << 16) // rows.shape[1])
+def _row_remainders(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row, the remainder whose bit b is the parity of the row's bits
+    under masks[b], bit-sliced over transposed blocks of about 256 KB."""
+    words = np.ascontiguousarray(rows).view(masks.dtype)
+    out = np.zeros(len(rows), dtype=np.uint16)
+    step = max(1, (1 << 18) // rows.shape[1])
     for i in range(0, len(rows), step):
-        out[i:i + step] = np.bitwise_xor.reduce(flat[rows[i:i + step] + offsets], axis=1)
+        block = words[i:i + step].T.copy()
+        for b, mask in enumerate(masks):
+            odd = np.bitwise_count(np.bitwise_xor.reduce(block & mask[:, None], axis=0)) & 1
+            out[i:i + step] |= odd.astype(np.uint16) << b
     return out
 
 
@@ -577,14 +578,15 @@ def encode_batch(payload: bytes, code: HammingCode,
     tabs = _vector_tables(code.m, code.generator.low_bits)
     if len(payload) % tabs.width:
         raise LengthMismatch(f"payload is not a whole number of {code.n + 1}-bit chunks")
-    count = len(payload) // tabs.width
-    a = np.frombuffer(payload, dtype=np.uint8).reshape(count, tabs.width)
+    a = np.frombuffer(payload, dtype=np.uint8).reshape(-1, tabs.width)
     msb = a[:, 0] >> 7
     body = a.copy()
     body[:, 0] &= 0x7F
-    s = _column_xor(body, tabs.syn)
-    body[np.arange(count), tabs.flip_col[s]] ^= tabs.flip_bit[s]
-    body[:, :tabs.cols] &= tabs.basis_mask
+    s = _row_remainders(body, tabs.syn)
+    at = tabs.flip_col[s]  # flat offsets of the bits to flip, built in place
+    at += np.arange(0, body.size, tabs.width)
+    body.reshape(-1)[at] ^= tabs.flip_bit[s]
+    body[:, :tabs.cols].view(tabs.basis_mask.dtype)[:, 0] &= tabs.basis_mask
     return msb, s, body
 
 
@@ -594,15 +596,17 @@ def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
 
     Works in place: `rows` (basis rows as encode_batch returns them) is
     overwritten with the restored chunks, so no second copy of the trace
-    is made before the returned bytes. `parity`, if given, is each row's
-    `_column_xor(rows, par)`, which equal rows need computed only once.
+    is made before the returned bytes; rows that are not C-contiguous are
+    copied first. `parity`, if given, is each row's parity remainder,
+    `_row_remainders(rows, par)`, which equal rows need computed only once.
     """
     tabs = _vector_tables(code.m, code.generator.low_bits)
-    count = len(rows)
-    p = _column_xor(rows, tabs.par) if parity is None else parity
-    rows[:, :tabs.cols] ^= tabs.place[p]
-    rows[np.arange(count), tabs.flip_col[syndrome]] ^= tabs.flip_bit[syndrome]
-    rows[:, 0] |= msb.astype(np.uint8) << 7
+    rows = np.ascontiguousarray(rows)
+    p = _row_remainders(rows, tabs.par) if parity is None else parity
+    rows[:, :tabs.cols].view(tabs.place.dtype)[:, 0] ^= tabs.place[msb, p]
+    at = tabs.flip_col[syndrome]
+    at += np.arange(0, rows.size, tabs.width)
+    rows.reshape(-1)[at] ^= tabs.flip_bit[syndrome]
     return rows.tobytes()
 
 
@@ -638,12 +642,12 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     chunk, a miss submits one digest at its first chunk. Every other
     window runs the per-chunk event loop. Both give the same counters,
     bytes and final dictionary as Pipeline.replay. A window grouped by
-    distinct row gathers its decode parity once per group.
+    distinct row computes its decode parity once per group.
     """
     _check_chunk_bits(source, config)
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
-    par_table = _vector_tables(config.m, code.generator.low_bits).par
+    par_masks = _vector_tables(config.m, code.generator.low_bits).par
     width = source.chunk_nbytes
     count = source.chunk_count
 
@@ -741,7 +745,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
         # key buffers and the parity go before the compare, and the decoded
         # window after it, so few window copies are alive at once; the
         # window is compared as bytes: bytes != memoryview is 20x slower
-        par = None if group is None else _column_xor(rows[first], par_table)[group]
+        par = None if group is None else _row_remainders(rows[first], par_masks)[group]
         keys = group = hits = bases = ids = missed = None
         restored = decode_batch(rows, s_vec, msb_vec, code, par)
         par = None

@@ -561,14 +561,19 @@ class TestVectorTables:
 
     @pytest.mark.parametrize("m,low", _codes())
     def test_column_tables_match_long_division(self, m, low):
+        # the kernel on a row holding one set bit, in the first, the last
+        # and a random byte column: syn gives x^pos mod g, par x^(pos+m)
         tabs = _vector_tables(m, low)
         rng = random.Random(m * 1000 + low)
         for j in {0, tabs.width - 1, rng.randrange(tabs.width)}:
-            shift = 8 * (tabs.width - 1 - j)
-            for v in (1, 0x80, rng.randrange(256)):
-                assert tabs.syn[j][v] == remainder_of_int(v << shift, shift + 8, m, low)
-                assert tabs.par[j][v] == remainder_of_int(
-                    v << (shift + m), shift + m + 8, m, low)
+            for i in {0, 7, rng.randrange(8)}:
+                pos = 8 * (tabs.width - 1 - j) + i
+                row = np.zeros((1, tabs.width), dtype=np.uint8)
+                row[0, j] = 1 << i
+                assert pipeline._row_remainders(row, tabs.syn)[0] == remainder_of_int(
+                    1 << pos, pos + 1, m, low)
+                assert pipeline._row_remainders(row, tabs.par)[0] == remainder_of_int(
+                    1 << (pos + m), pos + m + 1, m, low)
 
     @pytest.mark.parametrize("m,low", _codes())
     def test_parity_placement_matches_parity_of(self, m, low):
@@ -597,6 +602,42 @@ class TestVectorTables:
             s, basis = gd_encode(body, code)
             assert (msb[i], syn[i]) == (top, s)
             assert int.from_bytes(rows[i].tobytes(), "big") == basis.value
+        assert decode_batch(rows, syn, msb, code) == payload
+
+    # the kernel transposes blocks of 2^18 / width rows: two whole blocks
+    # and a partial tail, for 1-, 2-, 4- and 8-byte row words
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 14, 15])
+    def test_batch_spanning_kernel_blocks(self, m):
+        code = build_code(m)
+        width = (1 << m) // 8
+        step = (1 << 18) // width
+        count = 2 * step + 37
+        rng = random.Random(m)
+        payload = rng.randbytes(count * width)
+        msb, syn, rows = encode_batch(payload, code)
+        for i in {0, step - 1, step, 2 * step - 1, 2 * step, count - 1,
+                  *rng.sample(range(count), 4)}:
+            top, body = split_chunk(BitChunk.from_bytes(payload[i * width:(i + 1) * width]),
+                                    code)
+            s, basis = gd_encode(body, code)
+            assert (msb[i], syn[i]) == (top, s)
+            assert int.from_bytes(rows[i].tobytes(), "big") == basis.value
+        assert decode_batch(rows, syn, msb, code) == payload
+
+    @pytest.mark.parametrize("m", [4, 8, 14])
+    def test_rows_that_are_not_c_contiguous_decode_alike(self, m):
+        code = build_code(m)
+        width = (1 << m) // 8
+        payload = random.Random(m).randbytes(50 * width)
+        msb, syn, rows = encode_batch(payload, code)
+        fortran, doubled = np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]
+        assert not fortran.flags.c_contiguous and not doubled.flags.c_contiguous
+        par = _vector_tables(m, code.generator.low_bits).par
+        want = pipeline._row_remainders(rows, par)
+        assert np.array_equal(pipeline._row_remainders(fortran, par), want)
+        assert np.array_equal(pipeline._row_remainders(doubled, par), want)
+        assert decode_batch(fortran, syn, msb, code) == payload
+        assert decode_batch(doubled, syn, msb, code) == payload
         assert decode_batch(rows, syn, msb, code) == payload
 
     def test_encode_batch_rejects_partial_chunk(self):
@@ -1091,7 +1132,8 @@ class TestOnePassStatic:
         msb, syn, rows = encode_batch(trace.payload, code)
         first, group = pipeline._group_rows(rows)
         assert len(first) < len(rows)  # duplicates to share the parity of
-        parity = pipeline._column_xor(rows[first], _vector_tables(m, code.generator.low_bits).par)
+        par = _vector_tables(m, code.generator.low_bits).par
+        parity = pipeline._row_remainders(rows[first], par)
         plain = decode_batch(rows.copy(), syn, msb, code)
         assert decode_batch(rows, syn, msb, code, parity[group]) == plain == trace.payload
 
