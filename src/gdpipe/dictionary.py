@@ -36,7 +36,8 @@ class LearnOutcome(NamedTuple):
 
 
 class DictionaryState:
-    """Forward (basis -> ID) and reverse (ID -> basis) maps with recency.
+    """Forward (basis -> ID) and reverse (ID -> basis) maps with recency:
+    the encoder's and the decoder's switch tables.
 
     The two maps are exact mutual inverses at all times, and the assigned
     IDs plus the free pool always partition the 2^id_width ID space.
@@ -66,7 +67,7 @@ class DictionaryState:
         # eviction candidates: an (id, basis) heap of every entry whose
         # last_used is _oldest_stamp, the smallest stamp, while that group
         # holds several. Hits (to a later stamp) leave stale records that
-        # _pick_victim drops, and an eviction pops its victim's; once none
+        # peek_victim drops, and an eviction pops its victim's; once none
         # is left it rebuilds the heap from the next group: O(log group)
         self._oldest: list[tuple[int, int]] = []
         self._oldest_stamp = None
@@ -164,7 +165,7 @@ class DictionaryState:
         elif self._free_count:
             id_ = self._take_free()
         else:
-            id_, evicted = self._pick_victim()
+            id_, evicted = self.peek_victim()
             if self._oldest:  # the victim's own record, on top
                 heapq.heappop(self._oldest)
             del entries[evicted]
@@ -179,15 +180,14 @@ class DictionaryState:
         return LearnOutcome(id_, evicted)
 
     def peek_victim(self) -> tuple[int, int] | None:
-        """The (id, basis) that the next learn() would evict, or None while
-        free identifiers remain."""
+        """The (id, basis) with the smallest (last_used, id), which the next
+        learn() evicts, or None while free identifiers remain. learn()
+        takes its victim from this call, so each eviction searches once.
+
+        The pair is the top of the _oldest heap, which stays empty while
+        that group is one entry."""
         if self._free_count or not self._entries:
             return None
-        return self._pick_victim()
-
-    def _pick_victim(self) -> tuple[int, int]:
-        """The (id, basis) with the smallest (last_used, id): the top of the
-        _oldest heap, which stays empty while that group is one entry."""
         heap = self._oldest
         while heap:
             id_, basis = heap[0]

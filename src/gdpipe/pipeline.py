@@ -22,7 +22,7 @@ from math import inf, isclose, isfinite, isinf
 
 import numpy as np
 
-from .dictionary import DictionaryState, LearnOutcome
+from .dictionary import DictionaryState
 from .gdcore import (
     GENERATOR_REGISTRY,
     BitChunk,
@@ -262,13 +262,12 @@ def parse_frame(kind: int, payload: bytes, config: PipelineConfig):
 class ControlPlane:
     """Digest queue plus delayed installs: the only writer of both switch tables.
 
-    A digest emitted at t falls due at t + delay. One poll first learns
-    every due digest through the shared dictionary, in emission order --
-    the decoder-side install, since the decoder reads the shared reverse
-    map directly -- and then adds each learned mapping whose entry still
-    holds its ID to `forward`, the encoder's basis -> ID table: a later
-    digest in the same poll can evict an earlier one. Evictions clear the
-    encoder side first so no frame is ever compressed against a dying ID.
+    Both tables are the shared dictionary: the encoder reads its forward
+    map and the decoder its reverse map, so one learn installs a mapping
+    on both sides at once, and an eviction removes it from both. A digest
+    emitted at t falls due at t + delay; one poll learns every due digest
+    in emission order, and a later digest in the same poll can evict an
+    earlier one before the poll returns.
 
     The plane is polled after each arrival, so an install becomes effective
     for the traffic *after* the first arrival at or past its ready time.
@@ -278,7 +277,6 @@ class ControlPlane:
                  config: PipelineConfig):
         self._state = state
         self._counters = counters
-        self.forward: dict[int, int] = {}  # basis -> id, as the encoder sees it
         # ns from a digest to its install; None: never
         self.delay = None if isinf(config.learning_delay) else _to_ns(config.learning_delay)
         self._queue: deque[tuple[int, int]] = deque()  # (basis, emit_ns)
@@ -300,17 +298,6 @@ class ControlPlane:
         self._queue.append((basis, now_ns))
         return True
 
-    def _learn(self, basis: int, now_ns: int, id_: int | None = None,
-               ) -> LearnOutcome | None:
-        """Learn a basis, dropping the LRU victim's forward entry first if
-        no ID is free; None, changing nothing, if the basis is mapped."""
-        state = self._state
-        if basis in state:
-            return None
-        if id_ is None and state.free_count == 0:
-            self.forward.pop(state.peek_victim()[1], None)
-        return state.learn(basis, now_ns, id_)
-
     def preload(self, items, now_ns: int = 0) -> int:
         """Learn and make bases visible to both sides immediately.
 
@@ -320,36 +307,34 @@ class ControlPlane:
         which takes its own ID (ValueError if that ID is in use). Bases
         already mapped are skipped; returns how many were added.
         """
+        state = self._state
         added = 0
         for item in items:
             id_, basis = item if isinstance(item, tuple) else (None, item)
-            outcome = self._learn(basis, now_ns, id_)
-            if outcome is not None:
-                self.forward[basis] = outcome.assigned
+            if basis not in state:
+                state.learn(basis, now_ns, id_)
                 added += 1
         return added
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
-        """Learn every due digest, then install each mapping still held;
-        returns the (basis, id) pairs whose forward mapping completed."""
+        """Learn every due digest; returns the (basis, id) pairs still
+        installed when the poll ends, which INSTALLS counts."""
         delay, queue, counters = self.delay, self._queue, self._counters
+        state = self._state
         if delay is None:
             return []
         learned = []
         while queue and queue[0][1] + delay <= now_ns:
             basis = queue.popleft()[0]
             self._pending.discard(basis)
-            outcome = self._learn(basis, now_ns)
-            if outcome is None:  # preloaded while its digest waited
+            if basis in state:  # preloaded while its digest waited
                 continue
-            assigned, evicted = outcome
+            assigned, evicted = state.learn(basis, now_ns)
             if evicted is not None:  # basis 0 is a basis too
                 counters.evictions += 1
                 if learned:  # a later learn can evict an earlier one
                     learned = [p for p in learned if p[0] != evicted]
             learned.append((basis, assigned))
-        for basis, id_ in learned:
-            self.forward[basis] = id_
         counters.installs += len(learned)
         return learned
 
@@ -367,7 +352,6 @@ class EncoderNode:
         self.state = state
         self.counters = counters
         self.control = control
-        self.forward = control.forward  # read here, written by the control plane
 
     def process(self, frame: Frame, now: float | None = None,
                 ) -> tuple[Frame, Digest | None]:
@@ -379,9 +363,8 @@ class EncoderNode:
         msb, body = split_chunk(chunk, self.code)
         syndrome, basis = gd_encode(body, self.code)
         self.counters.raw_in += 1
-        id_ = self.forward.get(basis.value)
+        id_ = self.state.lookup_id(basis.value, now_ns)  # a hit refreshes recency
         if id_ is not None:
-            self.state.lookup_id(basis.value, now_ns)  # refresh recency
             fields = CompressedChunk(syndrome=syndrome, msb=msb, basis_id=id_)
             self.counters.out_syn_id += 1
             return Frame(SYN_ID, serialize_frame(SYN_ID, fields, self.config), ts), None
@@ -657,15 +640,13 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     if preload is not None:
         cp.preload(preload)
 
-    # The forward map only ever holds mappings the reverse map also holds
-    # (installs go decoder-side first, evictions drop the forward entry
-    # first), so a SYN_ID frame resolves to the encoder's own basis row and
-    # the decoder restores straight from the window's basis rows.
+    # Encoder and decoder read the one dictionary, so a SYN_ID frame
+    # resolves to the encoder's own basis row and the decoder restores
+    # straight from the window's basis rows.
     n_sb = 0
     dropped: list[int] = []
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
-    get_fwd = cp.forward.get
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
@@ -674,22 +655,23 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
         stop = start + len(rows)
         last = (stop - 1) * gap_ns
         group, eventless = None, False
-        # No poll fires inside an eventless window, so the forward map stays
-        # put, and submit and lookup_id touch disjoint state. A first chunk
+        # No poll fires inside an eventless window, so the dictionary's
+        # mappings stay put and submit and lookup_id touch disjoint state;
+        # entry() reads their IDs without refreshing recency. A first chunk
         # that misses, its install due in the window, skips the grouping
         if _learn_static or (nxt is None or nxt > last) and (
                 delay is None or start * gap_ns + delay > last
-                or int.from_bytes(rows[0].tobytes(), "big") in cp.forward):
+                or int.from_bytes(rows[0].tobytes(), "big") in state):
             first, group = _group_rows(rows)
             distinct = rows[first].tobytes()
             bases = [int.from_bytes(distinct[o:o + width], "big")
                      for o in range(0, len(distinct), width)]
             if _learn_static:  # see replay_static
-                new = [b for b in bases if b not in cp.forward]
+                new = [b for b in bases if b not in state]
                 if len(new) > state.free_count:
                     return None
                 cp.preload(new)
-            ids = list(map(get_fwd, bases))
+            ids = [None if e is None else e[0] for e in map(state.entry, bases)]
             missed = [g for g, id_ in enumerate(ids) if id_ is None]
             eventless = not missed or delay is None or (
                 start + int(first[missed[0]])) * gap_ns + delay > last
@@ -700,7 +682,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                     submit(basis, (start + int(first[g])) * gap_ns)
                     continue
                 value = lookup_basis(id_)
-                if value is None:  # unreachable with decoder-first installs
+                if value is None:  # unreachable: both sides read one dictionary
                     lost.append(g)
                 elif value != basis:
                     raise InvariantViolation(
@@ -724,13 +706,12 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
             for i, o in zip(range(start, stop), range(0, len(keys), width)):
                 t = i * gap_ns
                 basis = int.from_bytes(keys[o:o + width], "big")
-                id_ = get_fwd(basis)
-                if id_ is None:
+                if basis not in state:
                     n_sb += 1
                     if submit(basis, t):
                         nxt = cp.next_event_ns
                 else:
-                    lookup_id(basis, t)  # refresh recency
+                    id_ = lookup_id(basis, t)  # refreshes recency
                     value = lookup_basis(id_)
                     if value is None:
                         counters.decode_miss += 1

@@ -333,7 +333,7 @@ class TestControlPlane:
         for i in range(300):
             v = rng.getrandbits(8)
             pipe.push_chunk(BitChunk(8, v), i * 1e-6)
-            for basis, id_ in pipe.encoder.forward.items():
+            for id_, basis in pipe.state.items():
                 entry = pipe.state.entry(basis)
                 assert entry is not None and entry[0] == id_
                 assert pipe.state.lookup_basis(id_) == basis
@@ -341,10 +341,17 @@ class TestControlPlane:
         pipe.counters.verify()
 
     def test_encoder_reads_the_control_planes_map(self):
+        # a preload installs on the encoder side at once: no digest needed
         pipe = Pipeline(CFG3)
-        assert pipe.encoder.forward is pipe.control.forward
-        pipe.preload([0b0101])
-        assert pipe.control.forward == {0b0101: 0}
+        assert pipe.preload([0b0101, 0b0000]) == 2
+        assert pipe.state.items() == [(0, 0b0101), (1, 0b0000)]
+        raw = Frame(RAW, chunk_of("00000100").to_bytes(), 0.0)  # basis 0000
+        out, digest = pipe.encoder.process(raw, 0.0)
+        assert out.kind == SYN_ID and digest is None
+        assert parse_frame(SYN_ID, out.payload, CFG3).basis_id == 1
+        out, digest = pipe.encoder.process(Frame(RAW, chunk_of("11111111").to_bytes(), 0.0))
+        assert out.kind == SYN_BASIS and digest is not None
+        assert pipe.counters.digests == 1
 
     def test_due_digest_for_a_preloaded_basis_is_dropped(self):
         pipe = Pipeline(PipelineConfig(m=3, id_width=1, learning_delay=1e-6))
@@ -357,7 +364,7 @@ class TestControlPlane:
         assert (pipe.counters.digests, pipe.counters.installs) == (2, 0)
         assert pipe.control.submit(0b0000, 1000)  # no longer pending
         pipe.control.poll(2000)
-        assert pipe.encoder.forward == {0b0000: 0, 0b1111: 1}
+        assert pipe.state.items() == [(0, 0b0000), (1, 0b1111)]
         assert pipe.counters.installs == 1 and pipe.counters.evictions == 0
         pipe.counters.verify()
 
@@ -384,6 +391,27 @@ class TestControlPlane:
         assert state.entry(0) is None and len(state) == 2
         counters.verify()
 
+    # churn-shaped traffic, 2-4x as many bases as IDs: each eviction makes
+    # one victim search, the peek_victim call that learn makes. The replay
+    # engine makes one lookup_id per SYN_ID frame, the scalar encoder one
+    # per RAW frame; the benchmark's traced run checks the engine's counts
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("delay", [0.0, 20e-6])
+    @pytest.mark.parametrize("id_width, spread", [(3, 2), (4, 4), (5, 3), (6, 2)])
+    def test_one_victim_search_per_eviction(self, dict_calls, engine, delay, id_width,
+                                            spread):
+        trace = gen_synthetic(TraceSpec(seed=id_width, chunk_count=1200, chunk_bits=256,
+                                        distinct_bases=spread << id_width))
+        cfg = PipelineConfig(m=8, id_width=id_width, learning_delay=delay)
+        if engine == "scalar":
+            counters = Pipeline(cfg).replay(trace, 1e-6)[1]
+        else:
+            counters = run_pipeline(trace, cfg, 1e-6)[1]
+        assert counters.evictions > 0 and counters.out_syn_id > 0
+        assert dict_calls["peek_victim"] == counters.evictions
+        per_frame = counters.raw_in if engine == "scalar" else counters.out_syn_id
+        assert dict_calls["lookup_id"] == per_frame
+
 
 class TestAgainstControlPlaneModel:
     # churn-shaped traffic: uniform draws from 2-4x as many bases as IDs,
@@ -406,18 +434,17 @@ class TestAgainstControlPlaneModel:
             for i in range(250):
                 t = i * gap_ns
                 basis = rng.choice(universe)
-                id_ = cp.forward.get(basis)
-                if id_ is None:
+                if basis not in state:
                     assert cp.submit(basis, t) == model.submit(basis, t)
                 else:
-                    assert state.lookup_id(basis, t) == id_ == model.hit(basis, t)
+                    assert state.lookup_id(basis, t) == model.hit(basis, t)
                 last = i == 249
                 if last or rng.random() < 0.6:
                     now = t + delay if last else t  # the last poll drains the queue
                     assert cp.poll(now) == model.poll(now)
                     assert (counters.digests, counters.installs, counters.evictions) == (
                         model.digests, model.installs, model.evictions)
-                    assert cp.forward == model.forward
+                    assert {b: i for i, b in state.items()} == model.forward
                     assert state.items() == model.items()
                     assert all(state.entry(b) == model.entry(b) for b in universe)
             lost.append(model.digests - model.installs)
@@ -840,9 +867,9 @@ class TestWindowedReplay:
 
 @pytest.fixture
 def dict_calls(monkeypatch):
-    """Counts DictionaryState.lookup_id and lookup_basis calls, wrapping
-    whatever those methods are when the fixture is set up."""
-    calls = dict.fromkeys(("lookup_id", "lookup_basis"), 0)
+    """Counts DictionaryState.lookup_id, lookup_basis and peek_victim
+    calls, wrapping whatever those methods are when the fixture is set up."""
+    calls = dict.fromkeys(("lookup_id", "lookup_basis", "peek_victim"), 0)
     for name in calls:
         def counted(self, *args, _real=getattr(DictionaryState, name), _name=name):
             calls[_name] += 1
