@@ -98,17 +98,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _checked(result):
-    """A replay's (counters, raw, encoded, state), once its counter
-    identities hold and no frame hit a decode miss; the replay itself
-    checks every restored window bit for bit."""
-    counters, (raw, encoded), state, _ = result
-    counters.verify()
-    if counters.decode_miss:
-        raise InvariantViolation(f"{counters.decode_miss} frames hit a decode miss")
-    return counters, raw, encoded, state
-
-
 def _refuse_overwrite(trace, *outs) -> None:
     """GdError if an output path names the input trace, directly or via a link."""
     for out in outs:
@@ -129,12 +118,12 @@ def _cmd_run(args) -> int:
         if args.mode == "no-table":  # --delay is checked in every mode
             config = replace(config, learning_delay=math.inf)
         if args.mode == "static" and args.snapshot_in is None:
-            result = replay_static(source, config, args.gap)
+            counters, (raw, encoded), state = replay_static(source, config, args.gap)
         else:  # snapshot (id, basis) pairs: each entry keeps its ID
             preload = None if args.snapshot_in is None else read_snapshot(
                 args.snapshot_in, args.id_width, basis_bits=(1 << m) - 1 - m)
-            result = replay(source, config, args.gap, preload=preload)
-        counters, raw, encoded, state = _checked(result)
+            counters, (raw, encoded), state = replay(source, config, args.gap,
+                                                     preload=preload)
 
     report = RunReport(
         mode=args.mode, raw_bytes=raw, encoded_bytes=encoded,
@@ -158,7 +147,7 @@ def _cmd_bench(args) -> int:
         config = PipelineConfig(m=m_for_chunk_bits(source.chunk_bits),
                                 id_width=args.id_width, learning_delay=DEFAULT_DELAY)
         t0 = time.perf_counter()
-        _, raw, encoded, _ = _checked(replay_static(source, config, DEFAULT_GAP))
+        _, (raw, encoded), _ = replay_static(source, config, DEFAULT_GAP)
         secs = time.perf_counter() - t0
 
     count = source.chunk_count

@@ -10,6 +10,7 @@ are clamped internally so the stored clock never runs backwards.
 from __future__ import annotations
 
 import heapq
+import re
 from bisect import bisect_left
 from collections import OrderedDict
 from itertools import chain
@@ -220,6 +221,10 @@ class DictionaryState:
         Path(path).write_text("".join(line + "\n" for line in lines))
 
 
+# ASCII digits only: int() would also take "+5", "1_0", "٣" and "0x5"
+_SNAPSHOT_LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9a-fA-F]+)\s*")
+
+
 def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
                   ) -> list[tuple[int, int]]:
     """A snapshot file's (id, basis) pairs, highest ID first (the cheap
@@ -235,11 +240,10 @@ def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            id_str, basis_str = line.split()
-            entries.append((int(id_str), int(basis_str, 16), ln))
-        except ValueError:
-            raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'") from None
+        match = _SNAPSHOT_LINE.fullmatch(line)
+        if match is None:
+            raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'")
+        entries.append((int(match[1]), int(match[2], 16), ln))
     owner: dict[int, int] = {}  # basis -> id
     prev = None
     for id_, basis, ln in sorted(entries, reverse=True):

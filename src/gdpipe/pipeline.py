@@ -414,8 +414,10 @@ class Pipeline:
 
     Arrivals must be pushed in timestamp order; the control plane is
     polled after each arrival. This is the scalar reference world;
-    run_pipeline() replays whole traces through equivalent vectorized
-    machinery.
+    run_pipeline() replays whole traces through vectorized machinery,
+    equivalent wherever the one dictionary is consistent: a SYN_ID frame
+    with an unmapped ID is a dropped DecodeMiss here, an
+    InvariantViolation there.
     """
 
     def __init__(self, config: PipelineConfig, collect_frames: bool = False):
@@ -609,15 +611,16 @@ def _windows(source, code: HammingCode):
 
 def replay(source, config: PipelineConfig, gap: float, *, preload=None,
            _learn_static: bool = False,
-           ) -> tuple[Counters, tuple[int, int], DictionaryState, list[int]]:
+           ) -> tuple[Counters, tuple[int, int], DictionaryState]:
     """The replay engine: run_pipeline for a Trace or an open TraceFile.
 
     Returns (counters, (raw payload bytes, encoded payload bytes), final
-    DictionaryState, indices of the chunks a decode miss dropped). The
-    input streams through windows of WINDOW_BYTES, dictionary and control
-    plane carried across them, and each restored window must equal its
-    input window (InvariantViolation otherwise). A TraceFile's windows
-    share one buffer, so memory does not grow with the trace.
+    DictionaryState). The input streams through windows of WINDOW_BYTES,
+    dictionary and control plane carried across them; a TraceFile's
+    windows share one buffer, so memory does not grow with the trace.
+    An ID that resolves to a basis other than the encoder's, a restored
+    window unequal to its input and a failed counter identity each raise
+    InvariantViolation.
 
     An eventless window, one with no control-plane event due by its last
     chunk, its own digests' installs included, handles each distinct basis
@@ -644,7 +647,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     # resolves to the encoder's own basis row and the decoder restores
     # straight from the window's basis rows.
     n_sb = 0
-    dropped: list[int] = []
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
     submit = cp.submit
@@ -676,21 +678,12 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
             eventless = not missed or delay is None or (
                 start + int(first[missed[0]])) * gap_ns + delay > last
         if eventless:
-            lost = []
             for g, (id_, basis) in enumerate(zip(ids, bases)):
                 if id_ is None:
                     submit(basis, (start + int(first[g])) * gap_ns)
-                    continue
-                value = lookup_basis(id_)
-                if value is None:  # unreachable: both sides read one dictionary
-                    lost.append(g)
-                elif value != basis:
+                elif lookup_basis(id_) != basis:
                     raise InvariantViolation(
                         f"id {id_} resolves to a basis other than the encoder's")
-            if lost:
-                lost = np.flatnonzero(np.isin(group, lost)) + start
-                counters.decode_miss += len(lost)
-                dropped.extend(lost.tolist())
             # refresh recency hit by hit, exhausted by a zero-length deque
             times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
                      else repeat(0, len(rows)))
@@ -712,18 +705,14 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                         nxt = cp.next_event_ns
                 else:
                     id_ = lookup_id(basis, t)  # refreshes recency
-                    value = lookup_basis(id_)
-                    if value is None:
-                        counters.decode_miss += 1
-                        dropped.append(i)
-                    elif value != basis:
+                    if lookup_basis(id_) != basis:
                         raise InvariantViolation(
                             f"id {id_} resolves to a basis other than the encoder's")
                 if nxt is not None and nxt <= t:
                     poll(t)
                     nxt = cp.next_event_ns
-        # dropped frames decode too: their rows are the encoder's own. The
-        # key buffers and the parity go before the compare, and the decoded
+        # every frame decodes from the encoder's own basis row. The key
+        # buffers and the parity go before the compare, and the decoded
         # window after it, so few window copies are alive at once; the
         # window is compared as bytes: bytes != memoryview is 20x slower
         par = None if group is None else _row_remainders(rows[first], par_masks)[group]
@@ -740,13 +729,14 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     counters.out_syn_id += count - n_sb
     counters.in_syn_basis += n_sb
     counters.in_syn_id += count - n_sb
-    counters.restored_raw += count - len(dropped)
+    counters.restored_raw += count
+    counters.verify()
     encoded = n_sb * syn_basis_nbytes(config) + (count - n_sb) * syn_id_nbytes(config)
-    return counters, (count * width, encoded), state, dropped
+    return counters, (count * width, encoded), state
 
 
 def replay_static(source, config: PipelineConfig, gap: float,
-                  ) -> tuple[Counters, tuple[int, int], DictionaryState, list[int]]:
+                  ) -> tuple[Counters, tuple[int, int], DictionaryState]:
     """`replay` preloaded with compute_bases(source, config), the static
     table, reading the source once: before each window replays, its unseen
     bases are preloaded in first-appearance order. The IDs, counters,
@@ -771,21 +761,17 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     bytes)). `preload` optionally installs a static table first, bases or
     (id, basis) pairs as ControlPlane.preload takes them; if
     `state_out` is a list the final DictionaryState is appended to it.
-    Semantically identical to Pipeline.replay: the transforms run
-    vectorized for every m, and the dictionary and control plane run per
-    chunk, or once per distinct basis in an eventless window (see
-    `replay`). The trace streams through `replay`, whose per-window check
-    makes the returned trace share the input's payload unless a decode
-    miss dropped frames.
+    Semantically identical to Pipeline.replay wherever the one dictionary
+    is consistent (`replay` raises InvariantViolation where it is not):
+    the transforms run vectorized for every m, and the dictionary and
+    control plane run per chunk, or once per distinct basis in an
+    eventless window. The trace streams through `replay`, whose
+    per-window check lets the returned trace share the input's payload.
     """
-    counters, sizes, state, dropped = replay(trace, config, gap, preload=preload)
-    payload = trace.payload
-    if dropped:
-        chunks = np.frombuffer(payload, dtype=np.uint8).reshape(-1, trace.chunk_nbytes)
-        payload = np.delete(chunks, dropped, axis=0).tobytes()
+    counters, sizes, state = replay(trace, config, gap, preload=preload)
     if state_out is not None:
         state_out.append(state)
-    return Trace(trace.chunk_bits, payload), counters, sizes
+    return Trace(trace.chunk_bits, trace.payload), counters, sizes
 
 
 def _odd_multipliers(count: int) -> np.ndarray:

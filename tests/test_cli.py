@@ -11,6 +11,7 @@ import pytest
 import gdpipe
 from gdpipe import GdError, cli, pipeline
 from gdpipe.cli import main
+from gdpipe.dictionary import DictionaryState
 from gdpipe.traces import TraceSpec, gen_synthetic, read_trace, write_trace
 
 
@@ -248,6 +249,31 @@ class TestRun:
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         assert main(["run", str(path), "--mode", "dynamic"]) == 1
         assert capsys.readouterr().err.startswith("invariant violation")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--mode", "static"], ["run", "--mode", "dynamic", "--delay", "5e-6"],
+        ["bench"]])
+    def test_decode_miss_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # one dictionary makes a miss unreachable, so force one
+        path, _ = make_trace(tmp_path)
+        monkeypatch.setattr(DictionaryState, "lookup_basis", lambda self, id_: None)
+        report = tmp_path / "report.txt"
+        argv = command[:1] + [str(path)] + command[1:]
+        if command[0] == "run":
+            argv += ["--report", str(report)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invariant violation: id ")
+        assert captured.err.endswith(" resolves to a basis other than the encoder's\n")
+        assert captured.out == "" and not report.exists()
+
+    def test_snapshot_in_number_save_never_writes_exits_2(self, tmp_path, capsys):
+        # int() reads "1_0" as 10
+        path, _ = make_trace(tmp_path)
+        snap = tmp_path / "in.snap"
+        snap.write_text("1_0 5\n")
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap)]) == 2
+        assert capsys.readouterr().err == "error: line 1: expected '<id> <basis-hex>'\n"
 
     @pytest.mark.parametrize("mode", ["dynamic", "no-table"])
     @pytest.mark.parametrize("snapshot", ["missing.snap", "real.snap"])

@@ -391,17 +391,35 @@ class TestSnapshot:
         ("1 0a\n2 0a\n", "line 1: basis already mapped to id 2"),
         ("2 0a\n1 0a\n", "line 2: basis already mapped to id 2"),
         ("3 1\n-1 2\n", "line 2: id -1 is not a free id of the 3-bit space"),
+        # numbers that save never writes, which int() would read
+        ("+5 5\n", "line 1: expected '<id> <basis-hex>'"),
+        ("1_0 5\n", "line 1: expected '<id> <basis-hex>'"),
+        ("\u0663 5\n", "line 1: expected '<id> <basis-hex>'"),  # Arabic-Indic 3
+        ("0 0x5\n", "line 1: expected '<id> <basis-hex>'"),
     ])
     def test_read_snapshot_names_the_line(self, tmp_path, text, message):
         # the line learn would have failed on, highest ID first
         path = tmp_path / "snap.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(SnapshotError) as exc:
             read_snapshot(path, id_width=3)
         assert str(exc.value) == message
         with pytest.raises(SnapshotError) as exc:
             preloaded(path, id_width=3)
         assert str(exc.value) == message
+
+    # the strict parse reads all that save writes, also with no
+    # basis_bits (unpadded hex) and past test_roundtrip's widths
+    @pytest.mark.parametrize("id_width,basis_bits", [(1, None), (24, 57)])
+    def test_save_then_read_snapshot(self, tmp_path, id_width, basis_bits):
+        state = DictionaryState(id_width, basis_bits)
+        rng = random.Random(id_width)
+        top = 1 << (basis_bits or 8)
+        for t, basis in enumerate(rng.sample(range(top), min(top, 2 << id_width, 40))):
+            state.learn(basis, now=t)
+        path = tmp_path / "snap.txt"
+        state.save(path)
+        assert read_snapshot(path, id_width, basis_bits) == state.items()[::-1]
 
     def test_read_snapshot_pairs_highest_id_first(self, tmp_path):
         path = tmp_path / "snap.txt"

@@ -53,6 +53,7 @@ from oracles import ControlPlaneModel, remainder_of_int
 
 CFG3 = PipelineConfig(m=3, id_width=15, learning_delay=1.77e-3)
 CFG8 = PipelineConfig(m=8, id_width=15)
+FOREIGN_ID = "resolves to a basis other than the encoder's"
 
 
 def chunk_of(bits: str) -> BitChunk:
@@ -520,22 +521,50 @@ class TestRunPipeline:
         assert out.chunk_count == 0 and (raw, enc) == (0, 0)
         counters.verify()
 
-    def test_decode_miss_drops_frames_like_scalar(self, monkeypatch):
-        # decoder-first installs make a miss unreachable, so force one
+    def test_decode_miss_is_an_invariant_violation(self, monkeypatch):
+        # one dictionary makes a miss unreachable, so force one: the scalar
+        # oracle drops the frame, the replay engine refuses the run
         spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
         trace = gen_synthetic(spec)
         bases = compute_bases(trace, CFG8)
         real = DictionaryState.lookup_basis
         monkeypatch.setattr(DictionaryState, "lookup_basis",
                             lambda self, id_: None if id_ == 1 else real(self, id_))
-        fast = run_pipeline(trace, CFG8, 1e-6, preload=bases)
         pipe = Pipeline(CFG8)
         pipe.preload(bases)
-        slow = pipe.replay(trace, 1e-6)
-        assert 0 < fast[1].decode_miss < 60
-        assert fast[1] == slow[1] and fast[2] == slow[2]
-        assert fast[0].payload == slow[0].payload
-        fast[1].verify()
+        assert 0 < pipe.replay(trace, 1e-6)[1].decode_miss < 60
+        with pytest.raises(InvariantViolation, match=FOREIGN_ID):
+            run_pipeline(trace, CFG8, 1e-6, preload=bases)
+
+    def test_decode_miss_in_a_per_chunk_window(self, monkeypatch, dict_calls):
+        # the first install falls due inside the only window, so it runs
+        # chunk by chunk; lookup_id runs before the check there, and the
+        # eventless path checks before any lookup_id
+        spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
+        trace = gen_synthetic(spec)
+        monkeypatch.setattr(DictionaryState, "lookup_basis", lambda self, id_: None)
+        with pytest.raises(InvariantViolation, match=FOREIGN_ID):
+            run_pipeline(trace, PipelineConfig(m=8, learning_delay=5e-6), 1e-6)
+        assert dict_calls["lookup_id"] == 1
+
+    @pytest.mark.parametrize("engine", ["run_pipeline", "replay_static"])
+    def test_engine_verifies_counters(self, monkeypatch, engine):
+        # a submit that does not count its digest: INSTALLS > DIGESTS. 12
+        # bases against 4 IDs, so the static replay learns past its table
+        trace = gen_synthetic(TraceSpec(seed=4, chunk_count=300, chunk_bits=256,
+                                        distinct_bases=12))
+        cfg = PipelineConfig(m=8, id_width=2, learning_delay=5e-6)
+        real = ControlPlane.submit
+
+        def uncounted(self, basis, now_ns):
+            queued = real(self, basis, now_ns)
+            self._counters.digests -= queued
+            return queued
+
+        monkeypatch.setattr(ControlPlane, "submit", uncounted)
+        run = {"run_pipeline": run_pipeline, "replay_static": pipeline.replay_static}[engine]
+        with pytest.raises(InvariantViolation, match="INSTALLS > DIGESTS"):
+            run(trace, cfg, 1e-6)
 
     def test_resolved_basis_must_be_the_encoders(self, monkeypatch):
         trace = Trace(256, bytes(32) * 3)
@@ -544,7 +573,7 @@ class TestRunPipeline:
             run_pipeline(trace, CFG8, 1e-6, preload=[0])
 
     def test_wide_code_scalar_fallback(self):
-        # m=14 sits above the vectorized-table gate
+        # m=14 runs the bit-sliced vector transforms, as every m does
         spec = TraceSpec(seed=41, chunk_count=12, chunk_bits=1 << 14,
                          distinct_bases=2, codeword_prob=0.5)
         trace = gen_synthetic(spec)
@@ -828,7 +857,8 @@ class TestWindowedReplay:
         if mode == "static":
             assert got.out_syn_id > 0 and got.out_syn_basis > 0
 
-    # static windows are all hits: the miss is counted per group of chunks
+    # static windows are all hits, checked once per distinct basis: the
+    # miss raises in the window of id 1's first chunk, at that basis
     @pytest.mark.parametrize("chunks", [1, 7])
     def test_decode_miss_across_windows(self, monkeypatch, dict_calls, chunks):
         spec = TraceSpec(seed=9, chunk_count=60, chunk_bits=256, distinct_bases=3)
@@ -842,11 +872,12 @@ class TestWindowedReplay:
             return None if id_ == 1 else basis
 
         monkeypatch.setattr(DictionaryState, "lookup_basis", miss_on_id_1)
-        counters = _replay_against_scalar(trace, CFG8, 1e-6, bases, dict_calls)
-        assert dict_calls["lookup_basis"] == _distinct_per_window(trace, CFG8, chunks)
-        lost = [i for i, b in enumerate(_chunk_bases(trace, CFG8)) if b == bases[1]]
-        assert counters.decode_miss == len(lost) > 0
-        assert pipeline.replay(trace, CFG8, 1e-6, preload=bases)[3] == lost
+        with pytest.raises(InvariantViolation, match=FOREIGN_ID):
+            pipeline.replay(trace, CFG8, 1e-6, preload=bases)
+        seen = _chunk_bases(trace, CFG8)
+        seen = seen[:seen.index(bases[1]) + 1]
+        assert dict_calls["lookup_basis"] == sum(
+            len(set(seen[i:i + chunks])) for i in range(0, len(seen), chunks))
 
     @pytest.mark.parametrize("chunks", [1, 7, 1000])
     def test_corrupt_restore_is_an_invariant_violation(self, monkeypatch, chunks):
@@ -1104,10 +1135,10 @@ def _static_against_scalar(trace, cfg, gap):
     pipe = Pipeline(cfg)
     pipe.preload(compute_bases(trace, cfg))
     out, counters, sizes = pipe.replay(trace, gap)
-    got_counters, got_sizes, state, dropped = pipeline.replay_static(trace, cfg, gap)
+    got_counters, got_sizes, state = pipeline.replay_static(trace, cfg, gap)
     assert got_counters == counters
     assert got_sizes == sizes
-    assert dropped == [] and out.payload == trace.payload
+    assert out.payload == trace.payload
     want = pipe.state
     assert state.items() == want.items()
     assert state.free_ids() == want.free_ids()
