@@ -151,10 +151,10 @@ class DictionaryState:
     def learn(self, basis: int, now, id_: int | None = None) -> LearnOutcome:
         """Map a new basis, evicting the LRU entry if no ID is free.
 
-        Ties on last_used evict the smaller ID. Raises AlreadyKnown for a
-        basis that is already mapped (the control plane checks first and
-        drops such a digest). A given `id_` must be free (ValueError
-        otherwise) and is taken instead of the lowest free ID.
+        Ties on last_used evict the smaller ID. Raises AlreadyKnown, before
+        any change, for a basis that is already mapped (the control plane
+        drops such a digest or preload item). A given `id_` must be free
+        (ValueError otherwise) and is taken instead of the lowest free ID.
         """
         self._check_basis(basis)
         entries = self._entries
@@ -221,8 +221,8 @@ class DictionaryState:
         Path(path).write_text("".join(line + "\n" for line in lines))
 
 
-# ASCII digits only: int() would also take "+5", "1_0", "٣" and "0x5"
-_SNAPSHOT_LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9a-fA-F]+)\s*")
+# ASCII only: int() would also take "+5", "1_0", "٣" and "0x5", \s "\u3000"
+_SNAPSHOT_LINE = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9a-fA-F]+)[ \t]*")
 
 
 def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
@@ -238,7 +238,7 @@ def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
         raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
     entries = []
     for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         match = _SNAPSHOT_LINE.fullmatch(line)
         if match is None:

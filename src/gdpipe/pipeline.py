@@ -14,7 +14,12 @@ without off-by-one install ticks).
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
@@ -22,7 +27,7 @@ from math import inf, isclose, isfinite, isinf
 
 import numpy as np
 
-from .dictionary import DictionaryState
+from .dictionary import AlreadyKnown, DictionaryState
 from .gdcore import (
     GENERATOR_REGISTRY,
     BitChunk,
@@ -311,9 +316,11 @@ class ControlPlane:
         added = 0
         for item in items:
             id_, basis = item if isinstance(item, tuple) else (None, item)
-            if basis not in state:
+            try:
                 state.learn(basis, now_ns, id_)
-                added += 1
+            except AlreadyKnown:
+                continue
+            added += 1
         return added
 
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
@@ -327,9 +334,10 @@ class ControlPlane:
         while queue and queue[0][1] + delay <= now_ns:
             basis = queue.popleft()[0]
             self._pending.discard(basis)
-            if basis in state:  # preloaded while its digest waited
+            try:
+                assigned, evicted = state.learn(basis, now_ns)
+            except AlreadyKnown:  # preloaded while its digest waited
                 continue
-            assigned, evicted = state.learn(basis, now_ns)
             if evicted is not None:  # basis 0 is a basis too
                 counters.evictions += 1
                 if learned:  # a later learn can evict an earlier one
@@ -609,6 +617,62 @@ def _windows(source, code: HammingCode):
         start += len(window) // source.chunk_nbytes
 
 
+def _transformed(source, code: HammingCode):
+    """The dictionary-free half of `replay`, per window: (first chunk index,
+    first and group from _group_rows, group in its narrowest unsigned dtype,
+    distinct basis rows as bytes, whether it decodes, one parity per group)."""
+    par_masks = _vector_tables(code.m, code.generator.low_bits).par
+    for start, window, (msb, syndrome, rows) in _windows(source, code):
+        first, group = _group_rows(rows)
+        group = group.astype(np.min_scalar_type(len(first) - 1))
+        distinct = rows[first]
+        # bytes == memoryview compares 20x slower than bytes == bytes
+        restored_ok = decode_batch(rows, syndrome, msb, code, _row_remainders(
+            distinct, par_masks)[group]) == bytes(window)
+        msb = syndrome = rows = None  # freed before the next window is encoded
+        yield start, first, group, distinct.tobytes(), restored_ok
+
+
+def _stream(source, code: HammingCode, fork: bool):
+    """_transformed(source, code), from a forked child one window ahead if
+    `fork`, the source spans several windows and no other Python thread
+    runs. The child pickles each tuple into a pipe, then None or the
+    exception that stopped it, raised here in its turn; closing the
+    generator kills and reaps the child."""
+    if (not fork or source.chunk_count <= max(1, WINDOW_BYTES // source.chunk_nbytes)
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        yield from _transformed(source, code)
+        return
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns: it forwards what it raises
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                try:
+                    for item in _transformed(source, code):
+                        pickle.dump(item, out)
+                        out.flush()
+                    item = None
+                except BaseException as exc:
+                    item = exc
+                pickle.dump(item, out)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as inp:
+            while (item := pickle.load(inp)) is not None:
+                if isinstance(item, BaseException):
+                    raise item
+                yield item
+    except (EOFError, pickle.UnpicklingError):  # the child died
+        raise ChildProcessError("the transform process ended early") from None
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def replay(source, config: PipelineConfig, gap: float, *, preload=None,
            _learn_static: bool = False,
            ) -> tuple[Counters, tuple[int, int], DictionaryState]:
@@ -622,18 +686,23 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     window unequal to its input and a failed counter identity each raise
     InvariantViolation.
 
+    Two processes share the work, as the switches and their control
+    plane do: a forked child reads, encodes, groups, decodes and checks
+    each window one window ahead (_stream), and this process runs the
+    dictionary and control plane on its distinct rows and group indices.
+    Peak RSS is the larger of the two processes'. Where no chunk can hit
+    (learning off, nothing mapped), both halves run here.
+
     An eventless window, one with no control-plane event due by its last
     chunk, its own digests' installs included, handles each distinct basis
     once: a hit resolves once and refreshes recency with one lookup_id per
     chunk, a miss submits one digest at its first chunk. Every other
     window runs the per-chunk event loop. Both give the same counters,
-    bytes and final dictionary as Pipeline.replay. A window grouped by
-    distinct row computes its decode parity once per group.
+    bytes and final dictionary as Pipeline.replay.
     """
     _check_chunk_bits(source, config)
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
-    par_masks = _vector_tables(config.m, code.generator.low_bits).par
     width = source.chunk_nbytes
     count = source.chunk_count
 
@@ -644,8 +713,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
         cp.preload(preload)
 
     # Encoder and decoder read the one dictionary, so a SYN_ID frame
-    # resolves to the encoder's own basis row and the decoder restores
-    # straight from the window's basis rows.
+    # resolves to the encoder's own basis row, which the producer decoded
     n_sb = 0
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
@@ -653,76 +721,69 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     poll = cp.poll
     nxt = cp.next_event_ns
     delay = cp.delay
-    for start, window, (msb_vec, s_vec, rows) in _windows(source, code):
-        stop = start + len(rows)
-        last = (stop - 1) * gap_ns
-        group, eventless = None, False
-        # No poll fires inside an eventless window, so the dictionary's
-        # mappings stay put and submit and lookup_id touch disjoint state;
-        # entry() reads their IDs without refreshing recency. A first chunk
-        # that misses, its install due in the window, skips the grouping
-        if _learn_static or (nxt is None or nxt > last) and (
-                delay is None or start * gap_ns + delay > last
-                or int.from_bytes(rows[0].tobytes(), "big") in state):
-            first, group = _group_rows(rows)
-            distinct = rows[first].tobytes()
-            bases = [int.from_bytes(distinct[o:o + width], "big")
-                     for o in range(0, len(distinct), width)]
-            if _learn_static:  # see replay_static
-                new = [b for b in bases if b not in state]
-                if len(new) > state.free_count:
-                    return None
-                cp.preload(new)
-            ids = [None if e is None else e[0] for e in map(state.entry, bases)]
-            missed = [g for g, id_ in enumerate(ids) if id_ is None]
-            eventless = not missed or delay is None or (
-                start + int(first[missed[0]])) * gap_ns + delay > last
-        if eventless:
-            for g, (id_, basis) in enumerate(zip(ids, bases)):
-                if id_ is None:
-                    submit(basis, (start + int(first[g])) * gap_ns)
-                elif lookup_basis(id_) != basis:
-                    raise InvariantViolation(
-                        f"id {id_} resolves to a basis other than the encoder's")
-            # refresh recency hit by hit, exhausted by a zero-length deque
-            times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
-                     else repeat(0, len(rows)))
-            hits = group
-            if missed:
-                nxt = cp.next_event_ns
-                at = np.flatnonzero(np.array([id_ is not None for id_ in ids])[group])
-                n_sb += len(rows) - len(at)
-                times, hits = map(gap_ns.__mul__, (at + start).tolist()), group[at]
-            deque(map(lookup_id, map(bases.__getitem__, hits.tolist()), times), maxlen=0)
-        else:
-            keys = rows.tobytes()
-            for i, o in zip(range(start, stop), range(0, len(keys), width)):
-                t = i * gap_ns
-                basis = int.from_bytes(keys[o:o + width], "big")
-                if basis not in state:
-                    n_sb += 1
-                    if submit(basis, t):
-                        nxt = cp.next_event_ns
-                else:
-                    id_ = lookup_id(basis, t)  # refreshes recency
-                    if lookup_basis(id_) != basis:
+    fork = delay is not None or len(state) > 0 or _learn_static  # can a chunk hit?
+    with closing(_stream(source, code, fork)) as windows:
+        for start, first, group, distinct, restored_ok in windows:
+            stop = start + len(group)
+            last = (stop - 1) * gap_ns
+            eventless = False
+            # No poll fires inside an eventless window, so the dictionary's mappings
+            # stay put and submit and lookup_id touch disjoint state; entry() reads
+            # their IDs without refreshing recency. A first chunk that misses, its
+            # install due in the window, skips the per-basis reads
+            if _learn_static or (nxt is None or nxt > last) and (
+                    delay is None or start * gap_ns + delay > last
+                    or int.from_bytes(distinct[:width], "big") in state):
+                bases = [int.from_bytes(distinct[o:o + width], "big")
+                         for o in range(0, len(distinct), width)]
+                if _learn_static:  # see replay_static
+                    new = [b for b in bases if b not in state]
+                    if len(new) > state.free_count:
+                        return None
+                    cp.preload(new)
+                ids = [None if e is None else e[0] for e in map(state.entry, bases)]
+                missed = [g for g, id_ in enumerate(ids) if id_ is None]
+                eventless = not missed or delay is None or (
+                    start + int(first[missed[0]])) * gap_ns + delay > last
+            if eventless:
+                for g, (id_, basis) in enumerate(zip(ids, bases)):
+                    if id_ is None:
+                        submit(basis, (start + int(first[g])) * gap_ns)
+                    elif lookup_basis(id_) != basis:
                         raise InvariantViolation(
                             f"id {id_} resolves to a basis other than the encoder's")
-                if nxt is not None and nxt <= t:
-                    poll(t)
+                # refresh recency hit by hit, exhausted by a zero-length deque
+                times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
+                         else repeat(0, len(group)))
+                hits = group
+                if missed:
                     nxt = cp.next_event_ns
-        # every frame decodes from the encoder's own basis row. The key
-        # buffers and the parity go before the compare, and the decoded
-        # window after it, so few window copies are alive at once; the
-        # window is compared as bytes: bytes != memoryview is 20x slower
-        par = None if group is None else _row_remainders(rows[first], par_masks)[group]
-        keys = group = hits = bases = ids = missed = None
-        restored = decode_batch(rows, s_vec, msb_vec, code, par)
-        par = None
-        if restored != bytes(window):
-            raise InvariantViolation(
-                f"chunks {start}..{stop - 1} did not restore bit-identically")
-        restored = None
+                    at = np.flatnonzero(np.array([id_ is not None for id_ in ids])[group])
+                    n_sb += len(group) - len(at)
+                    times, hits = map(gap_ns.__mul__, (at + start).tolist()), group[at]
+                deque(map(lookup_id, map(bases.__getitem__, hits.tolist()), times), maxlen=0)
+            else:
+                keys = np.frombuffer(distinct, np.uint8).reshape(-1, width)[group].tobytes()
+                for i, o in zip(range(start, stop), range(0, len(keys), width)):
+                    t = i * gap_ns
+                    basis = int.from_bytes(keys[o:o + width], "big")
+                    if basis not in state:
+                        n_sb += 1
+                        if submit(basis, t):
+                            nxt = cp.next_event_ns
+                    else:
+                        id_ = lookup_id(basis, t)  # refreshes recency
+                        if lookup_basis(id_) != basis:
+                            raise InvariantViolation(
+                                f"id {id_} resolves to a basis other than the encoder's")
+                    if nxt is not None and nxt <= t:
+                        poll(t)
+                        nxt = cp.next_event_ns
+            # drop this window's buffers before the next one is received
+            first = group = distinct = keys = hits = bases = ids = missed = None
+            if not restored_ok:
+                raise InvariantViolation(
+                    f"chunks {start}..{stop - 1} did not restore bit-identically")
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb

@@ -262,14 +262,13 @@ class TraceFile(AbstractContextManager):
                                 f"found {found}")
 
     def windows(self, nbytes: int):
-        """As Trace.windows, but every view is into one reused buffer, which
-        readinto refills when the next view is drawn."""
+        """As Trace.windows, but every view is into one reused buffer, refilled
+        by a positional read: forked processes share the file offset."""
         step = max(1, nbytes // self.chunk_nbytes) * self.chunk_nbytes
         buf = memoryview(bytearray(min(step, self.nbytes)))
-        self._file.seek(_HEADER.size)
         for off in range(0, self.nbytes, step):
             view = buf[:min(step, self.nbytes - off)]
-            got = self._file.readinto(view)
+            got = os.preadv(self._file.fileno(), [view], _HEADER.size + off)
             if got < len(view):  # the file shrank since the header check
                 self._check_size(off + got)
             yield view

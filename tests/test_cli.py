@@ -275,6 +275,14 @@ class TestRun:
         assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap)]) == 2
         assert capsys.readouterr().err == "error: line 1: expected '<id> <basis-hex>'\n"
 
+    def test_snapshot_in_unicode_space_exits_2(self, tmp_path, capsys):
+        # \s used to read the ideographic space as a separator
+        path, _ = make_trace(tmp_path)
+        snap = tmp_path / "in.snap"
+        snap.write_text("3 5\n 4\u3000a", encoding="utf-8")
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap)]) == 2
+        assert capsys.readouterr().err == "error: line 2: expected '<id> <basis-hex>'\n"
+
     @pytest.mark.parametrize("mode", ["dynamic", "no-table"])
     @pytest.mark.parametrize("snapshot", ["missing.snap", "real.snap"])
     def test_snapshot_in_outside_static_mode_exits_2(self, tmp_path, capsys, mode, snapshot):
@@ -313,7 +321,9 @@ class TestRun:
         assert path.read_bytes() == before
 
     # 16 bases fill the 4-bit ID space exactly; preloading 17 would evict,
-    # so the run starts again from compute_bases
+    # so the run starts again from compute_bases. Each replay and each
+    # compute_bases reads the file once; the replay's reads happen in its
+    # forked transform process, so the passes are counted as those calls
     @pytest.mark.parametrize("bases, passes", [(16, 1), (17, 3)])
     @pytest.mark.parametrize("command", [["run", "--mode", "static"], ["bench"]],
                              ids=["run", "bench"])
@@ -322,13 +332,11 @@ class TestRun:
         path, _ = make_trace(tmp_path, seed=7, chunk_count=2000, distinct_bases=bases)
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", 100 * 32)
         count = []
-        real = cli.TraceFile.windows
-
-        def counted(self, *args):
-            count.append(1)
-            return real(self, *args)
-
-        monkeypatch.setattr(cli.TraceFile, "windows", counted)
+        for name in ("replay", "compute_bases"):
+            def counted(*args, _real=getattr(pipeline, name), **kwargs):
+                count.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
         argv = command[:1] + [str(path)] + command[1:] + ["--id-width", "4"]
         assert main(argv) == 0
         assert len(count) == passes
@@ -450,6 +458,22 @@ class TestStreamedRun:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: expected 64000 payload bytes, found 32000\n"
         assert "roundtrip_ok" not in captured.out
+        # a replay reads in its forked child, which raised it and was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_dev_mode_run_writes_no_warning(self, tmp_path, mode):
+        # two 1 MiB windows, so the transforms run in a forked child: an
+        # unclosed pipe end would warn under -X dev, and Python 3.12+ warns
+        # on a fork with threads alive; -W error makes either one fail
+        path, _ = make_trace(tmp_path, chunk_count=40_000, distinct_bases=20)
+        env = dict(os.environ, PYTHONPATH=str(Path(gdpipe.__file__).parents[1]))
+        got = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "gdpipe.cli", "run", str(path),
+             "--mode", mode], env=env, capture_output=True, text=True, timeout=120)
+        assert (got.returncode, got.stderr) == (0, "")
+        assert "RAW_IN 40000" in got.stdout.splitlines()
 
     def test_static_run_memory_follows_the_window_not_the_trace(self, tmp_path):
         # A small launcher starts each run: a child's peak RSS counts the

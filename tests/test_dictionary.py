@@ -396,6 +396,11 @@ class TestSnapshot:
         ("1_0 5\n", "line 1: expected '<id> <basis-hex>'"),
         ("\u0663 5\n", "line 1: expected '<id> <basis-hex>'"),  # Arabic-Indic 3
         ("0 0x5\n", "line 1: expected '<id> <basis-hex>'"),
+        # whitespace that save never writes, which \s would take
+        ("3 5\n 4\u3000a", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\n\u00a04 a\n", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\n4 a\u2003\n", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\n\u3000\n", "line 2: expected '<id> <basis-hex>'"),
     ])
     def test_read_snapshot_names_the_line(self, tmp_path, text, message):
         # the line learn would have failed on, highest ID first
@@ -420,6 +425,17 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         state.save(path)
         assert read_snapshot(path, id_width, basis_bits) == state.items()[::-1]
+
+    def test_ascii_spaces_and_tabs_separate_fields(self, tmp_path):
+        state = DictionaryState(3, basis_bits=8)
+        for t, basis in enumerate((0x0A, 0xFF, 0x00)):
+            state.learn(basis, now=t)
+        path = tmp_path / "snap.txt"
+        state.save(path)
+        assert read_snapshot(path, 3, 8) == state.items()[::-1]
+        spaced = "".join(f"\t{id_} \t{basis:x}  \n \t\n" for id_, basis in state.items())
+        path.write_text(spaced)
+        assert read_snapshot(path, 3, 8) == state.items()[::-1]
 
     def test_read_snapshot_pairs_highest_id_first(self, tmp_path):
         path = tmp_path / "snap.txt"

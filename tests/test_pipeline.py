@@ -1,7 +1,10 @@
+import contextlib
 import functools
 import math
+import os
 import random
 import struct
+import threading
 import time
 
 import numpy as np
@@ -42,13 +45,22 @@ from gdpipe.pipeline import (
     encode_batch,
     parse_frame,
     raw_nbytes,
+    replay,
+    replay_static,
     run_pipeline,
     serialize_frame,
     syn_basis_nbytes,
     syn_id_nbytes,
     write_pcap,
 )
-from gdpipe.traces import Trace, TraceSpec, gen_synthetic
+from gdpipe.traces import (
+    Trace,
+    TraceFile,
+    TraceSpec,
+    TruncatedFile,
+    gen_synthetic,
+    write_trace,
+)
 from oracles import ControlPlaneModel, remainder_of_int
 
 CFG3 = PipelineConfig(m=3, id_width=15, learning_delay=1.77e-3)
@@ -1401,6 +1413,203 @@ class TestPipelineHarness:
         out, counters, _ = pipe.replay(trace, 1e-6)
         assert out.payload == trace.payload
         counters.verify()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs, one entry each."""
+    made = []
+    real = os.fork
+
+    def counted():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@contextlib.contextmanager
+def _second_thread():
+    """A second Python thread, alive for the block."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _transport_case(kind):
+    """(trace, config, engine) for one kind of the transport tests."""
+    if kind == "no-table":  # half the bases preloaded, so some chunks hit
+        trace = gen_synthetic(TraceSpec(seed=23, chunk_count=1500, chunk_bits=256,
+                                        distinct_bases=12))
+        cfg = PipelineConfig(m=8, learning_delay=math.inf, alignment_padding=True)
+        return trace, cfg, functools.partial(replay, preload=compute_bases(trace, cfg)[::2])
+    # 40 bases: they fit 6-bit IDs; 4-bit IDs make the static replay start
+    # again from compute_bases and the dynamic one evict
+    spec = TraceSpec(seed=22, chunk_count=3000, chunk_bits=32, distinct_bases=40,
+                     codeword_prob=0.3)
+    cfg, run = {"static": (PipelineConfig(m=5, id_width=6), replay_static),
+                "static-past-ids": (PipelineConfig(m=5, id_width=4), replay_static),
+                "churn": (PipelineConfig(m=5, id_width=4, learning_delay=3e-6), replay),
+                }[kind]
+    return gen_synthetic(spec), cfg, run
+
+
+def _outcome(result, bases):
+    """What a replay must give alike on both transports: counters, sizes,
+    IDs, free IDs, entry() of every basis and the touch order."""
+    counters, sizes, state = result
+    return (counters, sizes, state.items(), state.free_ids(),
+            [state.entry(b) for b in bases], list(state._entries))
+
+
+class TestTransport:
+    """replay runs the transforms in a forked child, one window ahead,
+    when the source spans several windows, no other Python thread runs
+    and a chunk can hit the dictionary; the outcome must not depend on
+    where they ran, and no child may outlive the replay."""
+
+    PER = 100  # chunks per window
+
+    def _file(self, tmp_path, trace):
+        path = tmp_path / "t.gdtrace"
+        write_trace(trace, path)
+        return path
+
+    @pytest.mark.parametrize("source", ["trace", "file"])
+    @pytest.mark.parametrize("kind", ["static", "static-past-ids", "churn", "no-table"])
+    def test_forked_equals_in_process(self, tmp_path, monkeypatch, forks, kind, source):
+        trace, cfg, run = _transport_case(kind)
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * trace.chunk_nbytes)
+        bases = compute_bases(trace, cfg)
+        path = self._file(tmp_path, trace)
+
+        def outcome():
+            if source == "trace":
+                return _outcome(run(trace, cfg, 1e-6), bases)
+            with TraceFile(path) as f:
+                return _outcome(run(f, cfg, 1e-6), bases)
+
+        forked = outcome()
+        replays = 2 if kind == "static-past-ids" else 1
+        assert len(forks) == replays
+        _no_child_left()
+        with _second_thread():
+            in_process = outcome()
+        assert len(forks) == replays
+        assert forked == in_process
+        counters = forked[0]
+        counters.verify()
+        if kind == "churn":
+            assert counters.evictions > 0 and counters.out_syn_id > 0
+        if kind == "no-table":
+            assert counters.out_syn_id > 0 and counters.installs == 0
+            assert forked[1][1] == counters.out_syn_basis * 33 + counters.out_syn_id * 3
+
+    # one window, a second thread alive, or a run where no chunk can hit
+    # (learning off, nothing preloaded) keeps the transforms here
+    @pytest.mark.parametrize("chunks, thread, delay, preload, forked", [
+        (1000, False, 1.77e-3, False, 1), (1000, True, 1.77e-3, False, 0),
+        (100, False, 1.77e-3, False, 0), (1000, False, math.inf, False, 0),
+        (1000, False, math.inf, True, 1)])
+    def test_transport_choice(self, monkeypatch, forks, chunks, thread, delay, preload,
+                              forked):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
+        trace = gen_synthetic(TraceSpec(seed=3, chunk_count=chunks, chunk_bits=256,
+                                        distinct_bases=4))
+        cfg = PipelineConfig(m=8, learning_delay=delay)
+        table = compute_bases(trace, cfg)[:1] if preload else None
+        with _second_thread() if thread else contextlib.nullcontext():
+            assert replay(trace, cfg, 1e-6, preload=table)[0].restored_raw == chunks
+        assert len(forks) == forked
+        _no_child_left()
+
+    @pytest.mark.parametrize("thread", [False, True])
+    def test_restore_failure_in_a_later_window(self, monkeypatch, forks, dict_calls, thread):
+        trace = gen_synthetic(TraceSpec(seed=3, chunk_count=1000, chunk_bits=256,
+                                        distinct_bases=4))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
+        bases = compute_bases(trace, CFG8)
+        real = pipeline.decode_batch
+        decoded = []
+
+        def flip_in_window_2(*args):
+            out = real(*args)
+            decoded.append(1)
+            return out[:-1] + bytes([out[-1] ^ 1]) if len(decoded) == 3 else out
+
+        monkeypatch.setattr(pipeline, "decode_batch", flip_in_window_2)
+        with _second_thread() if thread else contextlib.nullcontext():
+            with pytest.raises(InvariantViolation) as exc:
+                replay(trace, CFG8, 1e-6, preload=bases)
+        assert str(exc.value) == "chunks 200..299 did not restore bit-identically"
+        # raised after that window's dictionary step, before the next one's
+        assert dict_calls["lookup_id"] == 300
+        assert len(forks) == (0 if thread else 1)
+        _no_child_left()
+
+    def test_file_truncated_after_open(self, tmp_path, monkeypatch, forks, dict_calls):
+        trace = gen_synthetic(TraceSpec(seed=5, chunk_count=1000, chunk_bits=256,
+                                        distinct_bases=4))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * 32)
+        bases = compute_bases(trace, CFG8)
+        path = self._file(tmp_path, trace)
+        with TraceFile(path) as f:
+            os.truncate(path, 16 + 450 * 32)
+            with pytest.raises(TruncatedFile) as exc:
+                replay(f, CFG8, 1e-6, preload=bases)
+        assert str(exc.value) == f"{path}: expected 32000 payload bytes, found 14400"
+        assert dict_calls["lookup_id"] == 400  # the four whole windows
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("end", ["success", "dictionary raise", "static fallback"])
+    def test_no_child_is_left_running(self, monkeypatch, forks, end):
+        # every window's record outgrows a pipe's buffer, so the child is
+        # still writing when the replay ends early
+        trace = gen_synthetic(TraceSpec(seed=6, chunk_count=40_000, chunk_bits=256,
+                                        distinct_bases=20_000))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 8192 * 32)
+        cfg = PipelineConfig(m=8, id_width=12 if end == "static fallback" else 15)
+        if end == "dictionary raise":
+            monkeypatch.setattr(DictionaryState, "lookup_basis", lambda self, id_: -1)
+            with pytest.raises(InvariantViolation, match=FOREIGN_ID):
+                replay(trace, cfg, 1e-6, preload=compute_bases(trace, cfg))
+        else:
+            assert replay_static(trace, cfg, 1e-6)[0].restored_raw == 40_000
+        assert len(forks) == (2 if end == "static fallback" else 1)
+        _no_child_left()
+
+    def test_replays_share_one_trace_file(self, tmp_path, monkeypatch, forks):
+        # 12,000 body bytes, more than the buffered header read holds: each
+        # replay must read every window itself, wherever the last one left
+        # the file's shared offset
+        trace, churn, _ = _transport_case("churn")
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", self.PER * trace.chunk_nbytes)
+        bases = compute_bases(trace, churn)
+        past = PipelineConfig(m=5, id_width=4)
+        path = self._file(tmp_path, trace)
+        runs = [(replay, churn), (replay_static, past), (replay, churn)]
+        with TraceFile(path) as f:
+            shared = [_outcome(run(f, cfg, 1e-6), bases) for run, cfg in runs]
+        fresh = []
+        for run, cfg in runs:
+            with TraceFile(path) as f:
+                fresh.append(_outcome(run(f, cfg, 1e-6), bases))
+        assert shared == fresh
+        assert len(forks) == 8
+        _no_child_left()
 
 
 class TestPcapExport:
