@@ -80,6 +80,11 @@ class DictionaryState:
         return basis in self._entries
 
     @property
+    def mapped(self):
+        """The mapped bases, a live read-only view: `in` runs no Python frame."""
+        return self._entries.keys()
+
+    @property
     def free_count(self) -> int:
         return self._free_count
 
@@ -156,7 +161,8 @@ class DictionaryState:
         drops such a digest or preload item). A given `id_` must be free
         (ValueError otherwise) and is taken instead of the lowest free ID.
         """
-        self._check_basis(basis)
+        if basis < 0 or self.basis_bits is not None and basis >> self.basis_bits:
+            self._check_basis(basis)  # raises
         entries = self._entries
         if basis in entries:
             raise AlreadyKnown(f"basis already mapped to id {entries[basis][0]}")
@@ -169,16 +175,16 @@ class DictionaryState:
             id_, evicted = self.peek_victim()
             if self._oldest:  # the victim's own record, on top
                 heapq.heappop(self._oldest)
-            del entries[evicted]
-            del self._reverse[id_]
+        # an eviction hands the victim's ID, and its entry, to the new basis
+        e = [id_, 0] if evicted is None else entries.pop(evicted)
         if now > self._clock:
             self._clock = now
-        now = self._clock
-        entries[basis] = [id_, now]
+        e[1] = now = self._clock
+        entries[basis] = e
         self._reverse[id_] = basis
         if now == self._oldest_stamp:
             heapq.heappush(self._oldest, (id_, basis))
-        return LearnOutcome(id_, evicted)
+        return tuple.__new__(LearnOutcome, (id_, evicted))  # skips a Python __new__ frame
 
     def peek_victim(self) -> tuple[int, int] | None:
         """The (id, basis) with the smallest (last_used, id), which the next
@@ -199,13 +205,16 @@ class DictionaryState:
         # entries are in touch order with non-decreasing last_used, so the
         # group with the smallest stamp is a prefix; a one-entry group
         # needs no heap, since no later learn can join its older stamp
-        it = iter(self._entries.items())
-        basis, (id_, stamp) = next(it)
+        entries = self._entries
+        it = iter(entries)
+        basis = next(it)
+        id_, stamp = entries[basis]
         self._oldest_stamp = stamp
-        for b, (i, t) in it:
-            if t != stamp:
+        for b in it:
+            e = entries[b]
+            if e[1] != stamp:
                 break
-            heap.append((i, b))
+            heap.append((e[0], b))
         if not heap:
             return id_, basis
         heap.append((id_, basis))
@@ -237,7 +246,10 @@ def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
     entries = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    # lines end at "\n", or "\r\n"; str.splitlines would also end them at
+    # \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029, which save never writes
+    for ln, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip(" \t"):
             continue
         match = _SNAPSHOT_LINE.fullmatch(line)

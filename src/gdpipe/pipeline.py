@@ -286,12 +286,8 @@ class ControlPlane:
         self.delay = None if isinf(config.learning_delay) else _to_ns(config.learning_delay)
         self._queue: deque[tuple[int, int]] = deque()  # (basis, emit_ns)
         self._pending: set[int] = set()
-
-    @property
-    def next_event_ns(self) -> int | None:
-        if self.delay is None or not self._queue:
-            return None
-        return self._queue[0][1] + self.delay
+        # when the oldest queued digest falls due; None: nothing ever will
+        self.next_event_ns: int | None = None
 
     def submit(self, basis: int, now_ns: int) -> bool:
         """Queue a digest for an unknown basis; False if one is already
@@ -300,6 +296,8 @@ class ControlPlane:
             return False
         self._pending.add(basis)
         self._counters.digests += 1
+        if not self._queue and self.delay is not None:
+            self.next_event_ns = now_ns + self.delay
         self._queue.append((basis, now_ns))
         return True
 
@@ -326,10 +324,10 @@ class ControlPlane:
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
         """Learn every due digest; returns the (basis, id) pairs still
         installed when the poll ends, which INSTALLS counts."""
+        if self.next_event_ns is None or self.next_event_ns > now_ns:
+            return []
         delay, queue, counters = self.delay, self._queue, self._counters
         state = self._state
-        if delay is None:
-            return []
         learned = []
         while queue and queue[0][1] + delay <= now_ns:
             basis = queue.popleft()[0]
@@ -340,9 +338,11 @@ class ControlPlane:
                 continue
             if evicted is not None:  # basis 0 is a basis too
                 counters.evictions += 1
-                if learned:  # a later learn can evict an earlier one
-                    learned = [p for p in learned if p[0] != evicted]
+                # a later learn can evict an earlier one, which held this ID
+                if (evicted, assigned) in learned:
+                    learned.remove((evicted, assigned))
             learned.append((basis, assigned))
+        self.next_event_ns = queue[0][1] + delay if queue else None
         counters.installs += len(learned)
         return learned
 
@@ -717,6 +717,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     n_sb = 0
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
+    mapped = state.mapped
     submit = cp.submit
     poll = cp.poll
     nxt = cp.next_event_ns
@@ -733,11 +734,11 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
             # install due in the window, skips the per-basis reads
             if _learn_static or (nxt is None or nxt > last) and (
                     delay is None or start * gap_ns + delay > last
-                    or int.from_bytes(distinct[:width], "big") in state):
+                    or int.from_bytes(distinct[:width], "big") in mapped):
                 bases = [int.from_bytes(distinct[o:o + width], "big")
                          for o in range(0, len(distinct), width)]
                 if _learn_static:  # see replay_static
-                    new = [b for b in bases if b not in state]
+                    new = [b for b in bases if b not in mapped]
                     if len(new) > state.free_count:
                         return None
                     cp.preload(new)
@@ -745,6 +746,8 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 missed = [g for g, id_ in enumerate(ids) if id_ is None]
                 eventless = not missed or delay is None or (
                     start + int(first[missed[0]])) * gap_ns + delay > last
+            times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
+                     else repeat(0, len(group)))
             if eventless:
                 for g, (id_, basis) in enumerate(zip(ids, bases)):
                     if id_ is None:
@@ -753,8 +756,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                         raise InvariantViolation(
                             f"id {id_} resolves to a basis other than the encoder's")
                 # refresh recency hit by hit, exhausted by a zero-length deque
-                times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
-                         else repeat(0, len(group)))
                 hits = group
                 if missed:
                     nxt = cp.next_event_ns
@@ -764,10 +765,9 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 deque(map(lookup_id, map(bases.__getitem__, hits.tolist()), times), maxlen=0)
             else:
                 keys = np.frombuffer(distinct, np.uint8).reshape(-1, width)[group].tobytes()
-                for i, o in zip(range(start, stop), range(0, len(keys), width)):
-                    t = i * gap_ns
+                for t, o in zip(times, range(0, len(keys), width)):
                     basis = int.from_bytes(keys[o:o + width], "big")
-                    if basis not in state:
+                    if basis not in mapped:
                         n_sb += 1
                         if submit(basis, t):
                             nxt = cp.next_event_ns

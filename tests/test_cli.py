@@ -283,6 +283,14 @@ class TestRun:
         assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap)]) == 2
         assert capsys.readouterr().err == "error: line 2: expected '<id> <basis-hex>'\n"
 
+    def test_snapshot_in_line_separator_exits_2(self, tmp_path, capsys):
+        # str.splitlines used to read U+2028 as a line end, loading two entries
+        path, _ = make_trace(tmp_path)
+        snap = tmp_path / "in.snap"
+        snap.write_text("3 5\n4 6\u20285 7\n", encoding="utf-8")
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap)]) == 2
+        assert capsys.readouterr().err == "error: line 2: expected '<id> <basis-hex>'\n"
+
     @pytest.mark.parametrize("mode", ["dynamic", "no-table"])
     @pytest.mark.parametrize("snapshot", ["missing.snap", "real.snap"])
     def test_snapshot_in_outside_static_mode_exits_2(self, tmp_path, capsys, mode, snapshot):

@@ -63,6 +63,15 @@ def check_invariants(state: DictionaryState):
     assert set(ids).isdisjoint(state.free_ids())
 
 
+def check_handover(state: DictionaryState, out: LearnOutcome, basis: int):
+    """After an evicting learn: the victim is gone from both maps and its ID
+    resolves to the new basis, so a stale key or reverse entry fails here."""
+    check_invariants(state)
+    assert state.entry(out.evicted_basis) is None
+    assert state.lookup_basis(out.assigned) == basis
+    assert state.entry(basis)[0] == out.assigned
+
+
 class TestBasics:
     def test_fresh_pool_assigns_in_order(self):
         state = DictionaryState(id_width=15)
@@ -254,6 +263,8 @@ class TestAgainstReference:
                 out = state.learn(basis, now=t)
                 want_id, want_evicted = model.learn(basis, now=t)
                 assert (out.assigned, out.evicted_basis) == (want_id, want_evicted)
+                if out.evicted_basis is not None:
+                    check_handover(state, out, basis)
         check_invariants(state)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -275,6 +286,8 @@ class TestAgainstReference:
                     assert state.peek_victim() == (want_id, want_evicted)
                 out = state.learn(basis, now=now)
                 assert (out.assigned, out.evicted_basis) == (want_id, want_evicted)
+                if out.evicted_basis is not None:
+                    check_handover(state, out, basis)
         check_invariants(state)
 
     def test_static_preload_ties_match_model(self):
@@ -376,10 +389,13 @@ class TestSnapshot:
         "99 0a\n",        # id out of range
         "1 0a\n1 0b\n",   # duplicate id
         "1 0a\n2 0a\n",   # duplicate basis
+        # line ends that str.splitlines takes and save never writes
+        "3 5\u20284 6\n", "3 5\x85\n", "3 5\u2029\n", "3 5\x0c4 6\n", "3 5\x0b\n",
+        "3 5\x1c4 6\n", "3 5\x1d\n", "3 5\x1e\n", "3 5\r4 6\n", "3 5\r\r\n",
     ])
     def test_load_rejects_malformed(self, tmp_path, text):
         path = tmp_path / "snap.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(SnapshotError):
             preloaded(path, id_width=3)
 
@@ -401,6 +417,18 @@ class TestSnapshot:
         ("3 5\n\u00a04 a\n", "line 2: expected '<id> <basis-hex>'"),
         ("3 5\n4 a\u2003\n", "line 2: expected '<id> <basis-hex>'"),
         ("3 5\n\u3000\n", "line 2: expected '<id> <basis-hex>'"),
+        # lines end at \n only, with one \r allowed before it, and are
+        # counted so; every other line end is inside a line
+        ("3 5\n4 6\u20285 7\n", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\x85\n", "line 1: expected '<id> <basis-hex>'"),
+        ("1 a\r\n\r\n2 b\x0c\n", "line 3: expected '<id> <basis-hex>'"),
+        ("3 5\r\n4 6\r7 8\r\n", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\n\x1d4 6\n", "line 2: expected '<id> <basis-hex>'"),
+        ("3 5\u2029\n", "line 1: expected '<id> <basis-hex>'"),
+        ("3 5\x0b4 6\n", "line 1: expected '<id> <basis-hex>'"),
+        ("3 5\r\r\n", "line 1: expected '<id> <basis-hex>'"),
+        ("\x1e\n3 5\n", "line 1: expected '<id> <basis-hex>'"),
+        ("3 5\r\n4 zz\r\n", "line 2: expected '<id> <basis-hex>'"),
     ])
     def test_read_snapshot_names_the_line(self, tmp_path, text, message):
         # the line learn would have failed on, highest ID first
@@ -425,6 +453,19 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         state.save(path)
         assert read_snapshot(path, id_width, basis_bits) == state.items()[::-1]
+
+    def test_crlf_round_trip(self, tmp_path):
+        # a saved snapshot with its "\n" turned into "\r\n" loads the same
+        state = DictionaryState(4, basis_bits=11)
+        for t, b in enumerate((0x7FF, 0x001, 0x2A5, 0)):
+            state.learn(b, now=t)
+        path = tmp_path / "snap.txt"
+        state.save(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert path.read_bytes().count(b"\r\n") == 4
+        assert read_snapshot(path, 4, 11) == state.items()[::-1]
+        loaded = preloaded(path, 4, 11)
+        assert loaded.items() == state.items() and loaded.free_ids() == state.free_ids()
 
     def test_ascii_spaces_and_tabs_separate_fields(self, tmp_path):
         state = DictionaryState(3, basis_bits=8)

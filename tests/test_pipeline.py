@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import gc
 import math
 import os
 import random
 import struct
+import sys
 import threading
 import time
 
@@ -443,29 +445,49 @@ class TestAgainstControlPlaneModel:
             cp = ControlPlane(state, counters, cfg)
             model = ControlPlaneModel(id_width, delay)
             assert cp.delay == delay
+
+            def next_event():
+                return model.queue[0][1] + model.delay if model.queue else None
+
+            assert cp.next_event_ns is None
             universe = rng.sample(range(1, 1 << 12), rng.randint(2, 4) << id_width) + [0]
             for i in range(250):
                 t = i * gap_ns
                 basis = rng.choice(universe)
                 if basis not in state:
                     assert cp.submit(basis, t) == model.submit(basis, t)
+                    assert cp.next_event_ns == next_event()
                 else:
                     assert state.lookup_id(basis, t) == model.hit(basis, t)
                 last = i == 249
                 if last or rng.random() < 0.6:
                     now = t + delay if last else t  # the last poll drains the queue
                     assert cp.poll(now) == model.poll(now)
+                    assert cp.next_event_ns == next_event()
                     assert (counters.digests, counters.installs, counters.evictions) == (
                         model.digests, model.installs, model.evictions)
                     assert {b: i for i, b in state.items()} == model.forward
                     assert state.items() == model.items()
                     assert all(state.entry(b) == model.entry(b) for b in universe)
             lost.append(model.digests - model.installs)
-            assert model.evictions
+            assert model.evictions and cp.next_event_ns is None
         # at gap 0 every stamp ties, so a mapping learned early in a poll
         # can hold the smallest (last_used, id) and lose its ID in that poll
         if gap_ns == 0:
             assert all(lost)
+
+    def test_never_due_without_learning(self):
+        # learning_delay=inf: digests queue, but none ever falls due
+        state, counters = DictionaryState(3), Counters()
+        cp = ControlPlane(state, counters, PipelineConfig(m=8, id_width=3,
+                                                          learning_delay=math.inf))
+        assert cp.delay is None and cp.next_event_ns is None
+        for t in range(20):
+            assert cp.submit(t, t * 1000)
+            assert cp.next_event_ns is None
+            assert cp.poll(t * 1000 + 10**12) == []
+        assert cp.next_event_ns is None and len(state) == 0
+        assert (counters.digests, counters.installs) == (20, 0)
 
 
 class TestRunPipeline:
@@ -1335,6 +1357,47 @@ class TestEvictionScaling:
             took.append(time.perf_counter() - t0)
         assert counters.evictions == 10519
         assert min(took) < 1.0, took
+
+
+class TestFrameBudget:
+    # The eviction regime pays its Python frames per chunk and per install:
+    # a churn-shaped replay (4x as many bases as IDs), in-process since it
+    # is one window, is profiled frame by frame, so that a helper frame
+    # added back to an install or to the per-chunk loop fails here
+    def test_churn_replay_runs_no_helper_frames(self):
+        spec = TraceSpec(seed=20, chunk_count=3000, chunk_bits=256, distinct_bases=64)
+        trace = gen_synthetic(spec)
+        cfg = PipelineConfig(m=8, id_width=4, learning_delay=5e-6)
+        poll_code = ControlPlane.poll.__code__
+        called, polls, open_polls = set(), [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_name)
+                if open_polls:
+                    open_polls[-1].append(frame.f_code.co_name)
+                if frame.f_code is poll_code:
+                    open_polls.append([])
+            elif event == "return" and frame.f_code is poll_code:
+                polls.append(open_polls.pop())
+
+        # a collection inside the replay would run other objects' finalizers
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            counters = replay(trace, cfg, 1e-6)[0]
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        evicting = [frames for frames in polls if "peek_victim" in frames]
+        assert counters.evictions > 100 and evicting
+        assert sum(frames.count("peek_victim") for frames in polls) == counters.evictions
+        # an evicting install is poll -> learn -> peek_victim, nothing more
+        for frames in evicting:
+            assert frames == ["learn", "peek_victim"] * (len(frames) // 2), frames
+        # the per-chunk loop tests membership and due times without a helper frame
+        assert called.isdisjoint({"__contains__", "next_event_ns", "_check_basis"})
 
 
 def _random_config(rng):
