@@ -92,7 +92,8 @@ def _cmd_gen(args) -> int:
     try:
         trace = gen_synthetic(spec)
     except MemoryError:
-        raise GdError(f"not enough memory for a trace of {spec.chunk_count} chunks") from None
+        raise GdError(f"not enough memory for a trace of {spec.chunk_count} chunks "
+                      f"over {spec.distinct_bases} bases") from None
     write_trace(trace, args.out)
     print(f"wrote {trace.chunk_count} chunks of {trace.chunk_bits} bits to {args.out}")
     return 0

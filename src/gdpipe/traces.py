@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gdcore import BitChunk, GdError, HammingCode, build_code, parity_of
+from .gdcore import BitChunk, GdError, HammingCode, build_code
 
 TRACE_MAGIC = b"GDTRACE\0"
 _HEADER = struct.Struct("<8sII")  # magic, chunk_bits, chunk_count
@@ -65,6 +65,9 @@ class TraceSpec:
     msb: int | None = None  # None = random per chunk
 
     def validate(self) -> "HammingCode":
+        for name in ("seed", "chunk_count", "chunk_bits", "distinct_bases"):
+            if type(getattr(self, name)) is not int:  # a bool or a float is refused
+                raise InvalidSpec(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0 <= self.seed < (1 << 64):
             raise InvalidSpec("seed must fit in 64 bits")
         if not 0 <= self.chunk_count < (1 << 32):
@@ -173,18 +176,14 @@ def gen_synthetic(spec: TraceSpec) -> Trace:
     probability 1 - codeword_prob, under a fixed or random MSB. Identical
     (seed, spec) pairs produce byte-identical traces.
     """
+    from .pipeline import WINDOW_BYTES, decode_batch  # pipeline imports this module
+
     code = spec.validate()
     rng = np.random.default_rng(spec.seed)
-    n, k = code.n, code.k
     width = spec.chunk_bits // 8
     count = spec.chunk_count
 
-    bases = _draw_distinct_bases(rng, spec.distinct_bases, k)
-    cw_rows = np.empty((len(bases), width), dtype=np.uint8)
-    for i, b in enumerate(bases):
-        cw = (parity_of(BitChunk(k, b), code) << k) | b
-        cw_rows[i] = np.frombuffer(cw.to_bytes(width, "big"), dtype=np.uint8)
-
+    bases = _draw_distinct_bases(rng, spec.distinct_bases, code.k)
     if count == 0:
         return Trace(spec.chunk_bits, b"")
 
@@ -192,19 +191,33 @@ def gen_synthetic(spec: TraceSpec) -> Trace:
         idx = rng.integers(0, len(bases), size=count)
     else:
         idx = np.arange(count, dtype=np.int64) % len(bases)
-    chunks = cw_rows[idx]
-
     flip = rng.random(count) < (1.0 - spec.codeword_prob)
-    pos = rng.integers(0, n, size=count)
-    rows = np.nonzero(flip)[0]
-    chunks[rows, width - 1 - (pos[rows] >> 3)] ^= (1 << (pos[rows] & 7)).astype(np.uint8)
-
+    pos = rng.integers(0, code.n, size=count)
     if spec.msb is None:
         msb = rng.integers(0, 2, size=count, dtype=np.uint8)
     else:
         msb = np.full(count, spec.msb, dtype=np.uint8)
-    chunks[:, 0] |= msb << 7
 
+    # Row 2b + s of the table is basis b's codeword under msb s: the replay's
+    # decode of a zero syndrome. Built a window of bases at a time, and only
+    # once the basis ints are gone, so memory still peaks in the draw.
+    step = max(1, WINDOW_BYTES // width)
+    rows = np.empty((len(bases), width), dtype=np.uint8)
+    for i in range(0, len(bases), step):
+        part = b"".join(b.to_bytes(width, "big") for b in bases[i:i + step])
+        rows[i:i + step] = np.frombuffer(part, dtype=np.uint8).reshape(-1, width)
+    del bases
+    table = np.empty((2 * len(rows), width), dtype=np.uint8)
+    for i in range(0, len(rows), step):
+        pair = rows[i:i + step].repeat(2, axis=0)
+        table[2 * i:2 * i + len(pair)] = np.frombuffer(decode_batch(
+            pair, np.zeros(len(pair), dtype=np.uint16), np.arange(len(pair)) & 1, code),
+            dtype=np.uint8).reshape(-1, width)
+    chunks = np.take(table, idx * 2 + msb, axis=0)
+
+    at = np.flatnonzero(flip)  # bit flips by flat offset
+    chunks.reshape(-1)[at * width + (width - 1 - (pos[at] >> 3))] ^= (
+        1 << (pos[at] & 7)).astype(np.uint8)
     return Trace(spec.chunk_bits, chunks.tobytes())
 
 

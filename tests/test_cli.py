@@ -84,7 +84,8 @@ class TestGen:
         monkeypatch.setattr(cli, "gen_synthetic", no_memory)
         out = tmp_path / "x.gdtrace"
         assert main(["gen", "--out", str(out), "--count", "5"]) == 2
-        assert capsys.readouterr().err == "error: not enough memory for a trace of 5 chunks\n"
+        assert capsys.readouterr().err == ("error: not enough memory for a trace of 5 chunks "
+                                            "over 100 bases\n")
         assert not out.exists()
 
     def test_msb_flag(self, tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import struct
 
 import pytest
 
+from gdpipe import gdcore
 from gdpipe.gdcore import BitChunk, GdError, build_code, gd_encode, split_chunk
 from gdpipe.pipeline import RAW, Frame, write_pcap
 from gdpipe.traces import (
@@ -43,6 +46,12 @@ class TestTraceSpec:
         dict(codeword_prob=1.5),
         dict(basis_distribution="zipf"),
         dict(msb=2),
+        dict(seed=1.5),
+        dict(seed=True),
+        dict(chunk_count=2.5),
+        dict(chunk_count=True),
+        dict(chunk_bits=256.0),
+        dict(distinct_bases=2.5),
     ])
     def test_validation(self, kwargs):
         kwargs.setdefault("seed", 1)
@@ -54,6 +63,64 @@ class TestTraceSpec:
         assert m_for_chunk_bits(256) == 8
         with pytest.raises(InvalidSpec):
             m_for_chunk_bits(100)
+
+
+def _pinned_specs(name):
+    """Specs whose generated bytes are pinned: per m, counts 0 and 1 and
+    every distribution, msb and codeword_prob at 64 chunks; at m=3 every
+    power-of-two basis count up to the whole space; the churn-dynamic
+    workload trace (perfbench/workloads.json, default seed)."""
+    if name == "full":
+        return [TraceSpec(seed=k, chunk_count=64, chunk_bits=8, distinct_bases=1 << k,
+                          basis_distribution=dist)
+                for k in range(5) for dist in ("uniform", "round-robin")]
+    if name == "churn":
+        return [TraceSpec(seed=20260809, chunk_count=400000, chunk_bits=256,
+                          distinct_bases=65536)]
+    m = name
+    combos = itertools.product(("uniform", "round-robin"), (None, 0, 1), (0.0, 0.2, 1.0))
+    return [TraceSpec(seed=m, chunk_count=count, chunk_bits=1 << m, distinct_bases=3)
+            for count in (0, 1)] + [
+        TraceSpec(seed=m * 100 + i, chunk_count=64, chunk_bits=1 << m, distinct_bases=3,
+                  codeword_prob=prob, basis_distribution=dist, msb=msb)
+        for i, (dist, msb, prob) in enumerate(combos)]
+
+
+# sha256 of the concatenated payloads and of the drawn bases (each as a
+# chunk-wide big-endian row) of _pinned_specs(name), as generated when each
+# codeword came from the scalar parity_of
+_GENERATOR_DIGESTS = {
+    3: ("d7e8487bdf2ae876b30d97ffaccd43823223f7750783ade5277afd16aae16d2c",
+        "814a04132352ac3ac6d794bf3cd8c4d24ebf5618b196c166fa2b7d1b7ffa8baf"),
+    4: ("2d30f250e3cdefb9dc06e240031f907c356871d2792865cf1df148e70ae3f7fe",
+        "caa8be0f15254b6ef5b22d42754ad431b59be48e1a63e61dfd163e10cc25e0c1"),
+    5: ("1f3650cb28d46bf0d81ce20653af82ed6e83ad55d7917aed8016d3c53c447275",
+        "32d8ad7389b6464fce08a2b2522dc8661c30892e1c1a10b6076542ddf886b3ea"),
+    6: ("31549f16a5e848df28bb346e25069c26c596a46e294e7548893e9b09aee3e038",
+        "0cd29aba5fa68ca44e0900d2298d4b104322e87f7b3bb781281131139429148a"),
+    7: ("decc01f751203d437ee3f3f0b6bbac0a021c7fb66f6b83355cbbf60b8f633110",
+        "beb3071acc5ed171e21c6a0fae716c42a5763bc27f06df9f9179b6c39789b5c6"),
+    8: ("f348b7c452621677a0b00fe5136f23cf91263dd44f8782abaed0754356336f09",
+        "73d7a37d0cbc38547584b1b5cbb71fd5d8933a751e3a25b7de1163dd47cae646"),
+    9: ("32e449b7bd87e35c5126b4051786b37eb5001b1f84776c5f033d1aa3cbfbcb7e",
+        "65e1fdf4776c19723544c1430ecc5fc5c16a54448b8e543478705967117e4494"),
+    10: ("0ca5eeaef984e8bf9787ed42d169dd99f1eedbe7edb0c56aad47b558eb3446b1",
+         "02394ff8b067bb722b714a506e6a6ad55f8ea79bd7fd964345b125334e2817dd"),
+    11: ("d14a3f0e2fb4850c64b765e7f9e2321463a06d92e109f4fdf03eef18601a98b9",
+         "07953004ca000efb5d8b29de38af54bb8cc27b0d68d1418b77521cf1cd2d655f"),
+    12: ("9aa2352312022eb7610526890bd030f3db1fbb0087f2847ffe8b2f7501b3c163",
+         "7476655056fddefe8f875da50935d3c6335cf9712b604a54a55957f56a9b2299"),
+    13: ("9e78b3a46906ec5d0064ff232e7e981b585a19d29cef9f5e0a23f06ab4b13b1a",
+         "422ae9023cc50056c9e2268c004d0e5e123cd9efe8135bda1eb9d787595bebe6"),
+    14: ("17c71e32523e7b41733c48c18c96830fcb0e5878bc4e48518568728f70cdec83",
+         "88dd011f3288fc1e209b2e55902453347065533401a6c672ff9ff9e89a657e05"),
+    15: ("6a87bb1669e67aff0ec4a15e245ed25f9c7e1e526287751008529d41b429513b",
+         "8d79834da9324b1bf82835ad31c082ceabb660427c8a125edc99a33eb9eedbf1"),
+    "full": ("e7383d51b3c759670ad98588bc74699dac165c16c5fc6c8bb0e935a5ac82d70e",
+             "ad84303e425e0eb379e8d8ecbeb00e1d2d7b3df850affb8179f7aea41932cacd"),
+    "churn": ("f82e4a615aa17f71246e29b7997d22bf4ef97526fa4ed6bcaeaa1b2aa5e85825",
+              "13a27db4bfc24602842841a6616269a0003fc425317f9344287c739696490f6c"),
+}
 
 
 class TestGenSynthetic:
@@ -110,6 +177,23 @@ class TestGenSynthetic:
     def test_empty_trace(self):
         trace = gen_synthetic(TraceSpec(seed=0, chunk_count=0, chunk_bits=256))
         assert trace.chunk_count == 0 and trace.payload == b""
+
+    @pytest.mark.parametrize("name", list(_GENERATOR_DIGESTS))
+    def test_bytes_match_the_scalar_generator(self, name):
+        payloads, bases = hashlib.sha256(), hashlib.sha256()
+        for spec in _pinned_specs(name):
+            payloads.update(gen_synthetic(spec).payload)
+            width = spec.chunk_bits // 8
+            bases.update(b"".join(b.to_bytes(width, "big") for b in drawn_bases(spec)))
+        assert (payloads.hexdigest(), bases.hexdigest()) == _GENERATOR_DIGESTS[name]
+
+    def test_codewords_need_no_scalar_parity(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("scalar remainder called")
+
+        monkeypatch.setattr(gdcore, "_poly_mod_bytes", scalar)
+        spec = TraceSpec(seed=5, chunk_count=8192, chunk_bits=256, distinct_bases=4096)
+        assert gen_synthetic(spec).chunk_count == 8192
 
 
 class TestChunkFile:
