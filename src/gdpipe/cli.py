@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -100,10 +101,15 @@ def _cmd_gen(args) -> int:
 
 
 def _refuse_overwrite(trace, *outs) -> None:
-    """GdError if an output path names the input trace, directly or via a link."""
-    for out in outs:
-        if out and Path(out).exists() and Path(out).samefile(trace):
-            raise GdError(f"output {out} is the input trace itself")
+    """GdError if an output path names the input trace or another output:
+    the same inode and device, or for a path not there yet the same real path."""
+    def key(path):
+        return os.stat(path)[1:3] if os.path.exists(path) else os.path.realpath(path)
+    named = {key(trace): "the input trace itself"}
+    for out in filter(None, outs):
+        if (k := key(out)) in named:
+            raise GdError(f"output {out} is {named[k]}")
+        named[k] = f"another output, {out}"
 
 
 def _cmd_run(args) -> int:

@@ -13,8 +13,8 @@ the shifted variant and will NOT reproduce these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 
 class GdError(Exception):
@@ -145,14 +145,29 @@ class HammingCode:
     n = 2^m - 1, k = n - m. The table maps every nonzero m-bit syndrome to
     the position of the single bit whose flip produces that syndrome; a
     zero syndrome means the chunk already is a codeword and maps to no
-    table entry.
+    table entry. Only the scalar codec reads it, so it is built on first read.
     """
 
     m: int
     n: int
     k: int
     generator: GeneratorPolynomial
-    syndrome_table: dict[int, int] = field(repr=False)
+
+    @cached_property
+    def syndrome_table(self) -> dict[int, int]:
+        """From the n single-bit remainders; ValueError if any two collide."""
+        table: dict[int, int] = {}
+        s = 1  # remainder of x^0
+        for pos in range(self.n):
+            if s in table:
+                raise ValueError(
+                    f"0x{self.generator.low_bits:x} is not a Hamming generator for "
+                    f"m={self.m}: syndrome of bit {pos} collides with bit {table[s]}")
+            table[s] = pos
+            s <<= 1
+            if s >> self.m:
+                s ^= self.generator.full
+        return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,29 +234,17 @@ def build_code(m: int, low_bits: int | None = None) -> HammingCode:
     """Construct the (2^m - 1, 2^m - m - 1) Hamming code for a registered m.
 
     `low_bits` overrides the default generator (e.g. the second registered
-    polynomial for m=5 or m=9). The syndrome table is built from the
-    remainders of the n single-bit chunks; a non-primitive override is
-    rejected because its single-bit syndromes collide.
+    polynomial for m=5 or m=9); a non-primitive one raises ValueError here.
     """
     if m not in GENERATOR_REGISTRY:
         raise UnsupportedM(f"m={m} is not in the generator registry (3..15)")
     if low_bits is None:
         low_bits = GENERATOR_REGISTRY[m][0]
-    gen = GeneratorPolynomial(m, low_bits)
     n = (1 << m) - 1
-    table: dict[int, int] = {}
-    s = 1  # remainder of x^0
-    full = gen.full
-    for pos in range(n):
-        if s in table:
-            raise ValueError(
-                f"0x{low_bits:x} is not a Hamming generator for m={m}: "
-                f"syndrome of bit {pos} collides with bit {table[s]}")
-        table[s] = pos
-        s <<= 1
-        if s >> m:
-            s ^= full
-    return HammingCode(m=m, n=n, k=n - m, generator=gen, syndrome_table=table)
+    code = HammingCode(m=m, n=n, k=n - m, generator=GeneratorPolynomial(m, low_bits))
+    if low_bits not in GENERATOR_REGISTRY[m]:
+        code.syndrome_table  # raises ValueError for a generator that is not primitive
+    return code
 
 
 def gd_encode(body: BitChunk, code: HammingCode) -> tuple[int, BitChunk]:

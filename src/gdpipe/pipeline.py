@@ -584,13 +584,12 @@ def encode_batch(payload: bytes, code: HammingCode,
 
 
 def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
-                 code: HammingCode, parity: np.ndarray | None = None) -> bytes:
-    """Inverse of encode_batch: the restored chunks, back to back.
+                 code: HammingCode, parity: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of encode_batch: the restored chunks, one per row.
 
     Works in place: `rows` (basis rows as encode_batch returns them) is
-    overwritten with the restored chunks, so no second copy of the trace
-    is made before the returned bytes; rows that are not C-contiguous are
-    copied first. `parity`, if given, is each row's parity remainder,
+    overwritten with the restored chunks and returned, or copied first if
+    not C-contiguous. `parity`, if given, is each row's parity remainder,
     `_row_remainders(rows, par)`, which equal rows need computed only once.
     """
     tabs = _vector_tables(code.m, code.generator.low_bits)
@@ -600,7 +599,7 @@ def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
     at = tabs.flip_col[syndrome]
     at += np.arange(0, rows.size, tabs.width)
     rows.reshape(-1)[at] ^= tabs.flip_bit[syndrome]
-    return rows.tobytes()
+    return rows
 
 
 # Trace bytes per window: the replay and compute_bases transform one
@@ -608,29 +607,26 @@ def decode_batch(rows: np.ndarray, syndrome: np.ndarray, msb: np.ndarray,
 WINDOW_BYTES = 1 << 20
 
 
-def _windows(source, code: HammingCode):
-    """(first chunk index, window, encode_batch result) for each window of
-    a Trace or TraceFile, in order; a window holds at least one chunk."""
+def _transformed(source, code: HammingCode):
+    """The dictionary-free half of `replay`, per window: (first and group
+    from _group_rows, group in its narrowest unsigned dtype, distinct basis
+    rows as bytes), then InvariantViolation if it does not decode to itself."""
+    par_masks = _vector_tables(code.m, code.generator.low_bits).par
     start = 0
     for window in source.windows(WINDOW_BYTES):
-        yield start, window, encode_batch(window, code)
-        start += len(window) // source.chunk_nbytes
-
-
-def _transformed(source, code: HammingCode):
-    """The dictionary-free half of `replay`, per window: (first chunk index,
-    first and group from _group_rows, group in its narrowest unsigned dtype,
-    distinct basis rows as bytes, whether it decodes, one parity per group)."""
-    par_masks = _vector_tables(code.m, code.generator.low_bits).par
-    for start, window, (msb, syndrome, rows) in _windows(source, code):
+        msb, syndrome, rows = encode_batch(window, code)
         first, group = _group_rows(rows)
         group = group.astype(np.min_scalar_type(len(first) - 1))
         distinct = rows[first]
-        # bytes == memoryview compares 20x slower than bytes == bytes
-        restored_ok = decode_batch(rows, syndrome, msb, code, _row_remainders(
-            distinct, par_masks)[group]) == bytes(window)
+        rows = decode_batch(rows, syndrome, msb, code, _row_remainders(
+            distinct, par_masks)[group])
+        restored = np.array_equal(rows.reshape(-1), np.frombuffer(window, np.uint8))
         msb = syndrome = rows = None  # freed before the next window is encoded
-        yield start, first, group, distinct.tobytes(), restored_ok
+        yield first, group, distinct.tobytes()
+        if not restored:
+            raise InvariantViolation(
+                f"chunks {start}..{start + len(group) - 1} did not restore bit-identically")
+        start += len(group)
 
 
 def _stream(source, code: HammingCode, fork: bool):
@@ -704,7 +700,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     gap_ns = _time_ns(gap, "inter-arrival gap")
     code = build_code(config.m)
     width = source.chunk_nbytes
-    count = source.chunk_count
 
     state = DictionaryState(config.id_width, basis_bits=code.k)
     counters = Counters()
@@ -714,7 +709,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
 
     # Encoder and decoder read the one dictionary, so a SYN_ID frame
     # resolves to the encoder's own basis row, which the producer decoded
-    n_sb = 0
+    count = n_sb = 0  # chunks through the current window, and SYN_BASIS among them
     lookup_basis = state.lookup_basis
     lookup_id = state.lookup_id
     mapped = state.mapped
@@ -724,9 +719,9 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     delay = cp.delay
     fork = delay is not None or len(state) > 0 or _learn_static  # can a chunk hit?
     with closing(_stream(source, code, fork)) as windows:
-        for start, first, group, distinct, restored_ok in windows:
-            stop = start + len(group)
-            last = (stop - 1) * gap_ns
+        for first, group, distinct in windows:
+            start, count = count, count + len(group)
+            last = (count - 1) * gap_ns
             eventless = False
             # No poll fires inside an eventless window, so the dictionary's mappings
             # stay put and submit and lookup_id touch disjoint state; entry() reads
@@ -746,7 +741,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 missed = [g for g, id_ in enumerate(ids) if id_ is None]
                 eventless = not missed or delay is None or (
                     start + int(first[missed[0]])) * gap_ns + delay > last
-            times = (range(start * gap_ns, stop * gap_ns, gap_ns) if gap_ns
+            times = (range(start * gap_ns, count * gap_ns, gap_ns) if gap_ns
                      else repeat(0, len(group)))
             if eventless:
                 for g, (id_, basis) in enumerate(zip(ids, bases)):
@@ -781,9 +776,6 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                         nxt = cp.next_event_ns
             # drop this window's buffers before the next one is received
             first = group = distinct = keys = hits = bases = ids = missed = None
-            if not restored_ok:
-                raise InvariantViolation(
-                    f"chunks {start}..{stop - 1} did not restore bit-identically")
 
     counters.raw_in += count
     counters.out_syn_basis += n_sb
@@ -887,7 +879,9 @@ def compute_bases(trace, config: PipelineConfig) -> list[int]:
     _check_chunk_bits(trace, config)
     w = trace.chunk_nbytes
     seen: dict[bytes, None] = {}
-    for _, _, (_, _, rows) in _windows(trace, build_code(config.m)):
+    code = build_code(config.m)
+    for window in trace.windows(WINDOW_BYTES):
+        rows = encode_batch(window, code)[2]
         buf = rows[_group_rows(rows)[0]].tobytes()
         seen.update(dict.fromkeys(buf[o:o + w] for o in range(0, len(buf), w)))
     return [int.from_bytes(key, "big") for key in seen]

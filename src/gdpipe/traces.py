@@ -199,7 +199,7 @@ def gen_synthetic(spec: TraceSpec) -> Trace:
         msb = np.full(count, spec.msb, dtype=np.uint8)
 
     # Row 2b + s of the table is basis b's codeword under msb s: the replay's
-    # decode of a zero syndrome. Built a window of bases at a time, and only
+    # decode of a zero syndrome, a window at a time and in place. Built only
     # once the basis ints are gone, so memory still peaks in the draw.
     step = max(1, WINDOW_BYTES // width)
     rows = np.empty((len(bases), width), dtype=np.uint8)
@@ -207,12 +207,9 @@ def gen_synthetic(spec: TraceSpec) -> Trace:
         part = b"".join(b.to_bytes(width, "big") for b in bases[i:i + step])
         rows[i:i + step] = np.frombuffer(part, dtype=np.uint8).reshape(-1, width)
     del bases
-    table = np.empty((2 * len(rows), width), dtype=np.uint8)
-    for i in range(0, len(rows), step):
-        pair = rows[i:i + step].repeat(2, axis=0)
-        table[2 * i:2 * i + len(pair)] = np.frombuffer(decode_batch(
-            pair, np.zeros(len(pair), dtype=np.uint16), np.arange(len(pair)) & 1, code),
-            dtype=np.uint8).reshape(-1, width)
+    table = rows.repeat(2, axis=0)
+    for part in np.split(table, range(2 * step, len(table), 2 * step)):
+        decode_batch(part, np.zeros(len(part), np.uint16), np.arange(len(part)) & 1, code)
     chunks = np.take(table, idx * 2 + msb, axis=0)
 
     at = np.flatnonzero(flip)  # bit flips by flat offset

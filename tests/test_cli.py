@@ -243,9 +243,9 @@ class TestRun:
         real = pipeline.decode_batch
 
         def flip_one_bit(*args):
-            out = bytearray(real(*args))
-            out[0] ^= 0x80
-            return bytes(out)
+            out = real(*args)
+            out[0, 0] ^= 0x80
+            return out
 
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         assert main(["run", str(path), "--mode", "dynamic"]) == 1
@@ -329,6 +329,30 @@ class TestRun:
         assert capsys.readouterr() == ("", f"error: output {out} is the input trace itself\n")
         assert path.read_bytes() == before
 
+    # the snapshot used to replace the report, and the run exited 0
+    @pytest.mark.parametrize("via", ["same path", "relative path", "dangling symlink",
+                                     "symlink", "hard link"])
+    def test_report_that_is_the_snapshot_exits_2(self, tmp_path, monkeypatch, capsys, via):
+        path, _ = make_trace(tmp_path)
+        report = snapshot = tmp_path / "out.txt"
+        if via == "relative path":
+            monkeypatch.chdir(tmp_path)
+            snapshot = Path(".") / report.name
+        elif via != "same path":
+            if via != "dangling symlink":
+                report.write_text("kept\n")
+            snapshot = tmp_path / "link.txt"
+            (snapshot.hardlink_to if via == "hard link" else snapshot.symlink_to)(report)
+        assert main(["run", str(path), "--mode", "static", "--report", str(report),
+                     "--snapshot-out", str(snapshot)]) == 2
+        # refused before the replay, which would print its summary first
+        assert capsys.readouterr() == (
+            "", f"error: output {snapshot} is another output, {report}\n")
+        if via in ("symlink", "hard link"):
+            assert report.read_text() == "kept\n"
+        else:
+            assert not report.exists()
+
     # 16 bases fill the 4-bit ID space exactly; preloading 17 would evict,
     # so the run starts again from compute_bases. Each replay and each
     # compute_bases reads the file once; the replay's reads happen in its
@@ -392,9 +416,9 @@ class TestBench:
         real = pipeline.decode_batch
 
         def flip_one_bit(*args):
-            out = bytearray(real(*args))
-            out[0] ^= 0x80
-            return bytes(out)
+            out = real(*args)
+            out[0, 0] ^= 0x80
+            return out
 
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         assert main(["bench", str(path)]) == 1

@@ -19,6 +19,7 @@ from gdpipe.gdcore import (
     BitChunk,
     EncodedChunk,
     GdError,
+    HammingCode,
     LengthMismatch,
     build_code,
     gd_decode,
@@ -674,7 +675,7 @@ class TestVectorTables:
         rows = np.frombuffer(b"".join(b.to_bytes(width, "big") for b in bases),
                              dtype=np.uint8).reshape(len(bases), width).copy()
         zeros = np.zeros(len(bases), dtype=np.uint16)
-        got = decode_batch(rows, zeros, zeros.astype(np.uint8), code)
+        got = decode_batch(rows, zeros, zeros.astype(np.uint8), code).tobytes()
         want = b"".join(((parity_of(BitChunk(code.k, b), code) << code.k) | b)
                         .to_bytes(width, "big") for b in bases)
         assert got == want
@@ -692,7 +693,7 @@ class TestVectorTables:
             s, basis = gd_encode(body, code)
             assert (msb[i], syn[i]) == (top, s)
             assert int.from_bytes(rows[i].tobytes(), "big") == basis.value
-        assert decode_batch(rows, syn, msb, code) == payload
+        assert decode_batch(rows, syn, msb, code).tobytes() == payload
 
     # the kernel transposes blocks of 2^18 / width rows: two whole blocks
     # and a partial tail, for 1-, 2-, 4- and 8-byte row words
@@ -712,7 +713,7 @@ class TestVectorTables:
             s, basis = gd_encode(body, code)
             assert (msb[i], syn[i]) == (top, s)
             assert int.from_bytes(rows[i].tobytes(), "big") == basis.value
-        assert decode_batch(rows, syn, msb, code) == payload
+        assert decode_batch(rows, syn, msb, code).tobytes() == payload
 
     @pytest.mark.parametrize("m", [4, 8, 14])
     def test_rows_that_are_not_c_contiguous_decode_alike(self, m):
@@ -726,9 +727,19 @@ class TestVectorTables:
         want = pipeline._row_remainders(rows, par)
         assert np.array_equal(pipeline._row_remainders(fortran, par), want)
         assert np.array_equal(pipeline._row_remainders(doubled, par), want)
-        assert decode_batch(fortran, syn, msb, code) == payload
-        assert decode_batch(doubled, syn, msb, code) == payload
-        assert decode_batch(rows, syn, msb, code) == payload
+        assert decode_batch(fortran, syn, msb, code).tobytes() == payload
+        assert decode_batch(doubled, syn, msb, code).tobytes() == payload
+        assert decode_batch(rows, syn, msb, code).tobytes() == payload
+
+    @pytest.mark.parametrize("m", [3, 8, 14])
+    def test_decode_restores_its_input_in_place(self, m):
+        code = build_code(m)
+        payload = random.Random(m).randbytes(20 * (1 << m) // 8)
+        msb, syn, rows = encode_batch(payload, code)
+        assert rows.flags.c_contiguous
+        out = decode_batch(rows, syn, msb, code)
+        assert out is rows
+        assert out.tobytes() == payload
 
     def test_encode_batch_rejects_partial_chunk(self):
         with pytest.raises(LengthMismatch):
@@ -776,6 +787,25 @@ class TestWideCodes:
         for chunk in trace.chunks():
             seen.setdefault(gd_encode(split_chunk(chunk, code)[1], code)[1].value, None)
         assert compute_bases(trace, PipelineConfig(m=m)) == list(seen)
+
+    # only the scalar codec reads the 2^m-entry dict, so the vector paths
+    # run with any read of it failing, forked replays included
+    def test_vector_paths_never_read_the_syndrome_table(self, monkeypatch):
+        spec = TraceSpec(seed=14, chunk_count=40, chunk_bits=1 << 14, distinct_bases=6)
+        trace = gen_synthetic(spec)
+        static = PipelineConfig(m=14, id_width=2)
+        no_table = PipelineConfig(m=14, learning_delay=math.inf)
+        want = (replay_static(trace, static, 1e-6)[:2], replay(trace, no_table, 1e-6)[:2],
+                compute_bases(trace, static))
+
+        def unread(code):
+            raise AssertionError("the syndrome table was read")
+
+        monkeypatch.setattr(HammingCode, "syndrome_table", property(unread))
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 8 * trace.chunk_nbytes)
+        assert gen_synthetic(spec) == trace
+        assert (replay_static(trace, static, 1e-6)[:2], replay(trace, no_table, 1e-6)[:2],
+                compute_bases(trace, static)) == want
 
 
 class TestScalarTimeChecks:
@@ -870,7 +900,7 @@ class TestWindowedReplay:
         width = trace.chunk_nbytes
         per = trace.chunk_count if chunks == "all" else chunks
         monkeypatch.setattr(pipeline, "WINDOW_BYTES", 1 if per == 1 else per * width)
-        windows = pipeline._windows(trace, build_code(cfg.m))
+        windows = trace.windows(pipeline.WINDOW_BYTES)
         assert len(list(windows)) == -(-trace.chunk_count // per)
 
         payload, counters, sizes, state, bases = _scalar_run(mode)
@@ -921,9 +951,9 @@ class TestWindowedReplay:
         real = pipeline.decode_batch
 
         def flip_one_bit(*args):
-            out = bytearray(real(*args))
-            out[-1] ^= 1
-            return bytes(out)
+            out = real(*args)
+            out[-1, -1] ^= 1
+            return out
 
         monkeypatch.setattr(pipeline, "decode_batch", flip_one_bit)
         with pytest.raises(InvariantViolation, match="restore bit-identically"):
@@ -1226,8 +1256,9 @@ class TestOnePassStatic:
         assert len(first) < len(rows)  # duplicates to share the parity of
         par = _vector_tables(m, code.generator.low_bits).par
         parity = pipeline._row_remainders(rows[first], par)
-        plain = decode_batch(rows.copy(), syn, msb, code)
-        assert decode_batch(rows, syn, msb, code, parity[group]) == plain == trace.payload
+        plain = decode_batch(rows.copy(), syn, msb, code).tobytes()
+        grouped = decode_batch(rows, syn, msb, code, parity[group]).tobytes()
+        assert grouped == plain == trace.payload
 
 
 class TestHashedDedup:
@@ -1610,7 +1641,9 @@ class TestTransport:
         def flip_in_window_2(*args):
             out = real(*args)
             decoded.append(1)
-            return out[:-1] + bytes([out[-1] ^ 1]) if len(decoded) == 3 else out
+            if len(decoded) == 3:
+                out[-1, -1] ^= 1
+            return out
 
         monkeypatch.setattr(pipeline, "decode_batch", flip_in_window_2)
         with _second_thread() if thread else contextlib.nullcontext():
