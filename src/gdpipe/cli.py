@@ -100,12 +100,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _refuse_overwrite(trace, *outs) -> None:
-    """GdError if an output path names the input trace or another output:
+def _refuse_overwrite(source, *outs, what="trace") -> None:
+    """GdError if an output path names the input `what` or another output:
     the same inode and device, or for a path not there yet the same real path."""
     def key(path):
         return os.stat(path)[1:3] if os.path.exists(path) else os.path.realpath(path)
-    named = {key(trace): "the input trace itself"}
+    named = {key(source): f"the input {what} itself"}
     for out in filter(None, outs):
         if (k := key(out)) in named:
             raise GdError(f"output {out} is {named[k]}")
@@ -114,6 +114,8 @@ def _refuse_overwrite(trace, *outs) -> None:
 
 def _cmd_run(args) -> int:
     _refuse_overwrite(args.trace, args.report, args.snapshot_out)
+    if args.snapshot_in is not None:  # --snapshot-out may name it: an update in place
+        _refuse_overwrite(args.snapshot_in, args.report, what="snapshot")
     if args.snapshot_in is not None and args.mode != "static":
         raise GdError(f"--snapshot-in preloads static mode only, not {args.mode}")
     if args.gzip_bytes is not None and args.gzip_bytes < 0:

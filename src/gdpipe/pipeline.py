@@ -747,9 +747,12 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                 for g, (id_, basis) in enumerate(zip(ids, bases)):
                     if id_ is None:
                         submit(basis, (start + int(first[g])) * gap_ns)
-                    elif lookup_basis(id_) != basis:
+                        continue
+                    stored = lookup_basis(id_)
+                    if stored != basis:
                         raise InvariantViolation(
                             f"id {id_} resolves to a basis other than the encoder's")
+                    bases[g] = stored  # the dictionary's own key: its probes match by identity
                 # refresh recency hit by hit, exhausted by a zero-length deque
                 hits = group
                 if missed:

@@ -353,6 +353,38 @@ class TestRun:
         else:
             assert not report.exists()
 
+    # the report used to replace the snapshot, and the run exited 0
+    @pytest.mark.parametrize("via", ["same path", "relative path", "symlink", "hard link"])
+    def test_report_that_is_the_snapshot_in_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    via):
+        path, trace = make_trace(tmp_path)
+        snap = tmp_path / "in.snap"
+        assert main(["run", str(path), "--mode", "static", "--snapshot-out", str(snap)]) == 0
+        capsys.readouterr()
+        before = snap.read_bytes()
+        report = snap
+        if via == "relative path":
+            monkeypatch.chdir(tmp_path)
+            report = Path(".") / snap.name
+        elif via != "same path":
+            report = tmp_path / "link.snap"
+            (report.hardlink_to if via == "hard link" else report.symlink_to)(snap)
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap),
+                     "--report", str(report)]) == 2
+        # refused before the replay, which would print its summary first
+        assert capsys.readouterr() == (
+            "", f"error: output {report} is the input snapshot itself\n")
+        assert snap.read_bytes() == before
+
+    def test_snapshot_out_may_update_the_snapshot_in(self, tmp_path):
+        path, _ = make_trace(tmp_path)
+        snap = tmp_path / "in.snap"
+        assert main(["run", str(path), "--mode", "static", "--snapshot-out", str(snap)]) == 0
+        before = snap.read_bytes()
+        assert main(["run", str(path), "--mode", "static", "--snapshot-in", str(snap),
+                     "--snapshot-out", str(snap)]) == 0
+        assert snap.read_bytes() == before
+
     # 16 bases fill the 4-bit ID space exactly; preloading 17 would evict,
     # so the run starts again from compute_bases. Each replay and each
     # compute_bases reads the file once; the replay's reads happen in its

@@ -1192,6 +1192,48 @@ def test_static_replay_resolves_each_basis_once_per_window(monkeypatch, dict_cal
     assert dict_calls["lookup_basis"] == _distinct_per_window(trace, cfg, per) == 8 * 7
 
 
+class TestRefreshPassesStoredKeys:
+    """An eventless window's recency refresh hands lookup_id the int
+    object the dictionary keeps as the basis's key, so that its dict probes
+    match by identity instead of comparing two equal 247-bit ints."""
+
+    # three 1 MiB windows of 32,768 chunks, each holding all 20 bases
+    TRACE = TraceSpec(seed=5, chunk_count=3 * 32768, chunk_bits=256, distinct_bases=20)
+
+    @pytest.fixture
+    def stored(self, monkeypatch):
+        """Per lookup_id hit, in call order: was its basis argument the
+        dictionary's own key object?"""
+        seen = []
+        real = DictionaryState.lookup_id
+
+        def recorded(self, basis, now):
+            id_ = real(self, basis, now)
+            if id_ is not None:
+                seen.append(basis is self._reverse[id_])
+            return id_
+        monkeypatch.setattr(DictionaryState, "lookup_id", recorded)
+        return seen
+
+    @pytest.mark.parametrize("path", ["replay_static", "preloaded replay"])
+    def test_static_table(self, stored, path):
+        trace = gen_synthetic(self.TRACE)
+        cfg = PipelineConfig(m=8)
+        if path == "replay_static":
+            counters = replay_static(trace, cfg, 1e-6)[0]
+        else:
+            counters = replay(trace, cfg, 1e-6, preload=compute_bases(trace, cfg))[0]
+        assert counters.out_syn_id == len(stored) == 98304
+        assert all(stored)
+
+    def test_eventless_windows_of_a_dynamic_run(self, stored):
+        trace = gen_synthetic(self.TRACE)
+        counters = replay(trace, PipelineConfig(m=8, learning_delay=1e-6), 1e-6)[0]
+        assert counters.out_syn_id == len(stored) and counters.digests == 20
+        # windows 2 and 3 run no event, and all of their chunks hit
+        assert all(stored[-65536:])
+
+
 def _static_against_scalar(trace, cfg, gap):
     """replay_static must equal the scalar Pipeline preloaded with
     compute_bases on the counters, the sizes, the restored payload and
