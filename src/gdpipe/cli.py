@@ -128,11 +128,10 @@ def _cmd_run(args) -> int:
             config = replace(config, learning_delay=math.inf)
         if args.mode == "static" and args.snapshot_in is None:
             counters, (raw, encoded), state = replay_static(source, config, args.gap)
-        else:  # snapshot (id, basis) pairs: each entry keeps its ID
-            preload = None if args.snapshot_in is None else read_snapshot(
+        else:  # a snapshot loads as the dictionary to start from
+            state = None if args.snapshot_in is None else read_snapshot(
                 args.snapshot_in, args.id_width, basis_bits=(1 << m) - 1 - m)
-            counters, (raw, encoded), state = replay(source, config, args.gap,
-                                                     preload=preload)
+            counters, (raw, encoded), state = replay(source, config, args.gap, state=state)
 
     report = RunReport(
         mode=args.mode, raw_bytes=raw, encoded_bytes=encoded,

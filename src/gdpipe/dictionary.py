@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from bisect import bisect_left
 from collections import OrderedDict
 from itertools import chain
 from pathlib import Path
@@ -101,22 +100,6 @@ class DictionaryState:
         self._free_count -= 1
         return r.start
 
-    def _take(self, id_: int) -> None:
-        """Remove a given ID from the pool; ValueError if it is not free.
-
-        The ranges after the one split are shifted, so IDs taken highest
-        first cost O(1) each, and lowest first O(free ranges) each.
-        """
-        free = self._free  # disjoint ranges, descending starts
-        j = len(free) - 1
-        if j < 0 or id_ not in free[j]:
-            j = bisect_left(free, -id_, key=lambda r: -r.start)
-            if j == len(free) or id_ not in free[j]:
-                raise ValueError(f"id {id_} is not a free id of the {self.id_width}-bit space")
-        r = free[j]
-        free[j:j + 1] = [p for p in (range(id_ + 1, r.stop), range(r.start, id_)) if p]
-        self._free_count -= 1
-
     def items(self):
         """(id, basis) pairs sorted by id."""
         return sorted((id_, basis) for id_, basis in self._reverse.items())
@@ -153,13 +136,12 @@ class DictionaryState:
             raise ValueError(f"id does not fit in {self.id_width} bits")
         return basis
 
-    def learn(self, basis: int, now, id_: int | None = None) -> LearnOutcome:
+    def learn(self, basis: int, now) -> LearnOutcome:
         """Map a new basis, evicting the LRU entry if no ID is free.
 
         Ties on last_used evict the smaller ID. Raises AlreadyKnown, before
         any change, for a basis that is already mapped (the control plane
-        drops such a digest or preload item). A given `id_` must be free
-        (ValueError otherwise) and is taken instead of the lowest free ID.
+        drops such a digest).
         """
         if basis < 0 or self.basis_bits is not None and basis >> self.basis_bits:
             self._check_basis(basis)  # raises
@@ -167,9 +149,7 @@ class DictionaryState:
         if basis in entries:
             raise AlreadyKnown(f"basis already mapped to id {entries[basis][0]}")
         evicted = None
-        if id_ is not None:
-            self._take(id_)
-        elif self._free_count:
+        if self._free_count:
             id_ = self._take_free()
         else:
             id_, evicted = self.peek_victim()
@@ -185,6 +165,16 @@ class DictionaryState:
         if now == self._oldest_stamp:
             heapq.heappush(self._oldest, (id_, basis))
         return tuple.__new__(LearnOutcome, (id_, evicted))  # skips a Python __new__ frame
+
+    def preload(self, bases, now=0) -> int:
+        """Learn every basis not yet mapped, in order: a static table set
+        up before a run. Returns how many were added."""
+        added = 0
+        for basis in bases:
+            if basis not in self._entries:
+                self.learn(basis, now)
+                added += 1
+        return added
 
     def peek_victim(self) -> tuple[int, int] | None:
         """The (id, basis) with the smallest (last_used, id), which the next
@@ -235,17 +225,17 @@ _SNAPSHOT_LINE = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9a-fA-F]+)[ \t]*")
 
 
 def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
-                  ) -> list[tuple[int, int]]:
-    """A snapshot file's (id, basis) pairs, highest ID first (the cheap
-    order for learn and ControlPlane.preload), checked so that each pair
-    installs under its own ID: in range, no ID or basis twice, the basis
-    fits basis_bits. SnapshotError names the first bad line."""
-    check = DictionaryState(id_width, basis_bits)._check_basis
+                  ) -> DictionaryState:
+    """The dictionary a snapshot file holds, every entry under its own ID
+    and stamped 0, in one pass. Lines are checked highest ID first: the
+    ID in range and not taken, the basis fitting basis_bits and not
+    mapped. SnapshotError names the first bad line."""
+    state = DictionaryState(id_width, basis_bits)
     try:
         text = Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise SnapshotError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    entries = []
+    lines = []
     # lines end at "\n", or "\r\n"; str.splitlines would also end them at
     # \f, \v, \x1c-\x1e, \x85, U+2028 and U+2029, which save never writes
     for ln, line in enumerate(text.split("\n"), start=1):
@@ -255,17 +245,23 @@ def read_snapshot(path, id_width: int = 15, basis_bits: int | None = None,
         match = _SNAPSHOT_LINE.fullmatch(line)
         if match is None:
             raise SnapshotError(f"line {ln}: expected '<id> <basis-hex>'")
-        entries.append((int(match[1]), int(match[2], 16), ln))
-    owner: dict[int, int] = {}  # basis -> id
-    prev = None
-    for id_, basis, ln in sorted(entries, reverse=True):
+        lines.append((int(match[1]), int(match[2], 16), ln))
+    del text  # not held while the dictionary fills
+    lines.sort(reverse=True)
+    entries, reverse = state._entries, state._reverse
+    for id_, basis, ln in lines:
         try:
-            check(basis)
-            if basis in owner:
-                raise AlreadyKnown(f"basis already mapped to id {owner[basis]}")
-            if id_ == prev or not 0 <= id_ < (1 << id_width):
+            state._check_basis(basis)
+            if basis in entries:
+                raise AlreadyKnown(f"basis already mapped to id {entries[basis][0]}")
+            if id_ in reverse or not 0 <= id_ < state.capacity:
                 raise ValueError(f"id {id_} is not a free id of the {id_width}-bit space")
         except (ValueError, AlreadyKnown) as exc:
             raise SnapshotError(f"line {ln}: {exc}") from None
-        owner[basis] = prev = id_
-    return [(id_, basis) for basis, id_ in owner.items()]
+        entries[basis] = [id_, 0]  # touch order: highest ID first
+        reverse[id_] = basis
+    # the free pool is the gaps between the taken IDs, lowest last
+    ends = [state.capacity, *reverse, -1]
+    state._free = [range(lo + 1, hi) for hi, lo in zip(ends, ends[1:]) if hi - lo > 1]
+    state._free_count = state.capacity - len(reverse)
+    return state

@@ -91,6 +91,20 @@ def _check_chunk_bits(source, config: PipelineConfig) -> None:
             f"needs {config.chunk_bits}")
 
 
+def _dictionary(config: PipelineConfig, state: DictionaryState | None = None,
+                ) -> DictionaryState:
+    """`state`, or a fresh dictionary, for config's IDs and bases; a state
+    of other widths is a LengthMismatch."""
+    k = config.chunk_bits - 1 - config.m
+    if state is None:
+        return DictionaryState(config.id_width, basis_bits=k)
+    if (state.id_width, state.basis_bits) != (config.id_width, k):
+        raise LengthMismatch(
+            f"dictionary has id_width={state.id_width}, basis_bits={state.basis_bits}; "
+            f"config needs {config.id_width}, {k}")
+    return state
+
+
 @dataclass(frozen=True, slots=True)
 class Frame:
     kind: int
@@ -301,26 +315,6 @@ class ControlPlane:
         self._queue.append((basis, now_ns))
         return True
 
-    def preload(self, items, now_ns: int = 0) -> int:
-        """Learn and make bases visible to both sides immediately.
-
-        This installs a static table before a run; such setup is not
-        traffic and does not touch the counters. Each item is a basis,
-        which takes the lowest free ID (or evicts), or an (id, basis) pair,
-        which takes its own ID (ValueError if that ID is in use). Bases
-        already mapped are skipped; returns how many were added.
-        """
-        state = self._state
-        added = 0
-        for item in items:
-            id_, basis = item if isinstance(item, tuple) else (None, item)
-            try:
-                state.learn(basis, now_ns, id_)
-            except AlreadyKnown:
-                continue
-            added += 1
-        return added
-
     def poll(self, now_ns: int) -> list[tuple[int, int]]:
         """Learn every due digest; returns the (basis, id) pairs still
         installed when the poll ends, which INSTALLS counts."""
@@ -421,17 +415,19 @@ class Pipeline:
     """One encoder, a zero-delay link, one decoder, one control plane.
 
     Arrivals must be pushed in timestamp order; the control plane is
-    polled after each arrival. This is the scalar reference world;
+    polled after each arrival. A given `state` is the dictionary to start
+    from, as in `replay`. This is the scalar reference world;
     run_pipeline() replays whole traces through vectorized machinery,
     equivalent wherever the one dictionary is consistent: a SYN_ID frame
     with an unmapped ID is a dropped DecodeMiss here, an
     InvariantViolation there.
     """
 
-    def __init__(self, config: PipelineConfig, collect_frames: bool = False):
+    def __init__(self, config: PipelineConfig, collect_frames: bool = False,
+                 state: DictionaryState | None = None):
         self.config = config
         self.code = build_code(config.m)
-        self.state = DictionaryState(config.id_width, basis_bits=self.code.k)
+        self.state = _dictionary(config, state)
         self.counters = Counters()
         self.control = ControlPlane(self.state, self.counters, config)
         self.encoder = EncoderNode(config, self.code, self.state,
@@ -442,10 +438,10 @@ class Pipeline:
         self.encoded_bytes = 0
 
     def preload(self, bases, now: float = 0.0) -> int:
-        """Install mappings for every given basis, or (id, basis) pair,
-        before replay (static table); duplicates are skipped, counters
-        untouched. See ControlPlane.preload."""
-        return self.control.preload(bases, _time_ns(now, "preload time"))
+        """Install mappings for every given basis before replay (static
+        table), visible to both sides at once; mapped bases are skipped,
+        counters untouched. See DictionaryState.preload."""
+        return self.state.preload(bases, _time_ns(now, "preload time"))
 
     def control_plane_step(self, now: float) -> list[tuple[int, int]]:
         return self.control.poll(_time_ns(now, "control-plane time"))
@@ -669,15 +665,17 @@ def _stream(source, code: HammingCode, fork: bool):
         os.waitpid(pid, 0)
 
 
-def replay(source, config: PipelineConfig, gap: float, *, preload=None,
-           _learn_static: bool = False,
+def replay(source, config: PipelineConfig, gap: float, *,
+           state: DictionaryState | None = None, _learn_static: bool = False,
            ) -> tuple[Counters, tuple[int, int], DictionaryState]:
     """The replay engine: run_pipeline for a Trace or an open TraceFile.
 
     Returns (counters, (raw payload bytes, encoded payload bytes), final
-    DictionaryState). The input streams through windows of WINDOW_BYTES,
-    dictionary and control plane carried across them; a TraceFile's
-    windows share one buffer, so memory does not grow with the trace.
+    DictionaryState); a given `state`, a snapshot from read_snapshot say,
+    is the dictionary to start from, updated in place. The input streams
+    through windows of WINDOW_BYTES, dictionary and control plane carried
+    across them; a TraceFile's windows share one buffer, so memory does
+    not grow with the trace.
     An ID that resolves to a basis other than the encoder's, a restored
     window unequal to its input and a failed counter identity each raise
     InvariantViolation.
@@ -701,11 +699,9 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
     code = build_code(config.m)
     width = source.chunk_nbytes
 
-    state = DictionaryState(config.id_width, basis_bits=code.k)
+    state = _dictionary(config, state)
     counters = Counters()
     cp = ControlPlane(state, counters, config)
-    if preload is not None:
-        cp.preload(preload)
 
     # Encoder and decoder read the one dictionary, so a SYN_ID frame
     # resolves to the encoder's own basis row, which the producer decoded
@@ -736,7 +732,7 @@ def replay(source, config: PipelineConfig, gap: float, *, preload=None,
                     new = [b for b in bases if b not in mapped]
                     if len(new) > state.free_count:
                         return None
-                    cp.preload(new)
+                    state.preload(new)
                 ids = [None if e is None else e[0] for e in map(state.entry, bases)]
                 missed = [g for g, id_ in enumerate(ids) if id_ is None]
                 eventless = not missed or delay is None or (
@@ -803,7 +799,9 @@ def replay_static(source, config: PipelineConfig, gap: float,
     """
     result = replay(source, config, gap, _learn_static=True)
     if result is None:
-        result = replay(source, config, gap, preload=compute_bases(source, config))
+        state = _dictionary(config)
+        state.preload(compute_bases(source, config))
+        result = replay(source, config, gap, state=state)
     return result
 
 
@@ -814,9 +812,8 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     inter-arrival `gap` seconds, control plane interleaved.
 
     Returns (restored trace, counters, (raw payload bytes, encoded payload
-    bytes)). `preload` optionally installs a static table first, bases or
-    (id, basis) pairs as ControlPlane.preload takes them; if
-    `state_out` is a list the final DictionaryState is appended to it.
+    bytes)). `preload` optionally installs a static table of bases first;
+    if `state_out` is a list the final DictionaryState is appended to it.
     Semantically identical to Pipeline.replay wherever the one dictionary
     is consistent (`replay` raises InvariantViolation where it is not):
     the transforms run vectorized for every m, and the dictionary and
@@ -824,7 +821,10 @@ def run_pipeline(trace: Trace, config: PipelineConfig, gap: float, *,
     eventless window. The trace streams through `replay`, whose
     per-window check lets the returned trace share the input's payload.
     """
-    counters, sizes, state = replay(trace, config, gap, preload=preload)
+    state = _dictionary(config)
+    if preload is not None:
+        state.preload(preload)
+    counters, sizes, state = replay(trace, config, gap, state=state)
     if state_out is not None:
         state_out.append(state)
     return Trace(trace.chunk_bits, trace.payload), counters, sizes

@@ -183,9 +183,9 @@ def gen_synthetic(spec: TraceSpec) -> Trace:
     width = spec.chunk_bits // 8
     count = spec.chunk_count
 
-    bases = _draw_distinct_bases(rng, spec.distinct_bases, code.k)
-    if count == 0:
+    if count == 0:  # no bases drawn: memory follows the chunks
         return Trace(spec.chunk_bits, b"")
+    bases = _draw_distinct_bases(rng, spec.distinct_bases, code.k)
 
     if spec.basis_distribution == "uniform":
         idx = rng.integers(0, len(bases), size=count)

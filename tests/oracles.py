@@ -2,7 +2,8 @@
 
 The codec references work on MSB-first bit lists via schoolbook long
 division, deliberately sharing no code with the library's int/table-based
-paths; ControlPlaneModel is a linear-scan model of the control plane.
+paths; ControlPlaneModel is a linear-scan model of the control plane,
+and snapshot_model one of the snapshot loader's checks.
 """
 
 
@@ -59,13 +60,10 @@ def brute_force_nearest_codeword(body: int, m: int, low_bits: int) -> int:
     return hits[0]
 
 
-def snapshot_by_learning(text: str, id_width: int, basis_bits):
-    """The snapshot loader as it was before the file was parsed once into
-    checked pairs: every line goes through learn, highest ID first. Returns
-    the (id, basis) pairs, highest ID first, or the SnapshotError text."""
-    from gdpipe.dictionary import AlreadyKnown, DictionaryState
-
-    state = DictionaryState(id_width, basis_bits)
+def snapshot_model(text: str, id_width: int, basis_bits):
+    """A snapshot's (id, basis) pairs, highest ID first, or the
+    SnapshotError text: the lines are checked highest ID first against a
+    set of taken IDs and a dict of mapped bases. Shares no code with gdpipe."""
     entries = []
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -75,12 +73,19 @@ def snapshot_by_learning(text: str, id_width: int, basis_bits):
             entries.append((int(id_str), int(basis_str, 16), ln))
         except ValueError:
             return f"line {ln}: expected '<id> <basis-hex>'"
+    taken, owner = set(), {}  # owner: basis -> id
     for id_, basis, ln in sorted(entries, reverse=True):
-        try:
-            state.learn(basis, 0, id_)
-        except (ValueError, AlreadyKnown) as exc:
-            return f"line {ln}: {exc}"
-    return state.items()[::-1]
+        if basis < 0:
+            return f"line {ln}: basis must be non-negative"
+        if basis_bits is not None and basis >= 1 << basis_bits:
+            return f"line {ln}: basis does not fit in {basis_bits} bits"
+        if basis in owner:
+            return f"line {ln}: basis already mapped to id {owner[basis]}"
+        if id_ in taken or not 0 <= id_ < 1 << id_width:
+            return f"line {ln}: id {id_} is not a free id of the {id_width}-bit space"
+        taken.add(id_)
+        owner[basis] = id_
+    return sorted(((id_, basis) for basis, id_ in owner.items()), reverse=True)
 
 
 class ControlPlaneModel:

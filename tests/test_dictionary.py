@@ -10,15 +10,7 @@ from gdpipe.dictionary import (
     SnapshotError,
     read_snapshot,
 )
-from gdpipe.pipeline import ControlPlane, Counters, PipelineConfig
-
-
-def preloaded(path, id_width, basis_bits=None):
-    """A fresh state preloaded from a snapshot, as `run --snapshot-in` does."""
-    pairs = read_snapshot(path, id_width, basis_bits)
-    state = DictionaryState(id_width, basis_bits)
-    ControlPlane(state, Counters(), PipelineConfig(id_width=id_width)).preload(pairs)
-    return state
+from oracles import snapshot_model
 
 
 class ReferenceModel:
@@ -145,37 +137,6 @@ class TestLearnOutcome:
         assigned, evicted = out
         assert (assigned, evicted, out[0]) == (5, None, 5)
         assert DictionaryState(id_width=1).learn(3, now=0) == (0, None)
-
-
-class TestLearnAtId:
-    def test_takes_the_given_id(self):
-        state = DictionaryState(id_width=3)
-        assert state.learn(10, now=0, id_=5) == LearnOutcome(5, None)
-        assert state.learn(11, now=0, id_=0).assigned == 0
-        assert state.free_ids() == (1, 2, 3, 4, 6, 7)
-        assert [state.learn(20 + t, now=1).assigned for t in range(6)] == [1, 2, 3, 4, 6, 7]
-        check_invariants(state)
-
-    @pytest.mark.parametrize("id_", [5, -1, 8])
-    def test_id_in_use_or_outside_the_space(self, id_):
-        state = DictionaryState(id_width=3)
-        state.learn(10, now=0, id_=5)
-        with pytest.raises(ValueError):
-            state.learn(11, now=4, id_=id_)
-        assert state.entry(11) is None and state.free_count == 7
-        assert state.learn(11, now=0).assigned == 0  # clock not moved to 4
-        assert state.entry(11) == (0, 0)
-
-    def test_matches_load(self, tmp_path):
-        path = tmp_path / "snap.txt"
-        path.write_text("6 4\n0 1\n3 3\n2 2\n")
-        loaded = preloaded(path, id_width=3)
-        state = DictionaryState(id_width=3)
-        for id_, basis in [(6, 4), (0, 1), (3, 3), (2, 2)]:
-            state.learn(basis, now=0, id_=id_)
-        assert state.items() == loaded.items()
-        assert state.free_ids() == loaded.free_ids() == (1, 4, 5, 7)
-        assert [state.entry(b) for b in range(5)] == [loaded.entry(b) for b in range(5)]
 
 
 class TestEviction:
@@ -371,7 +332,7 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         state.save(path)
         assert path.read_text() == "0 7ff\n1 001\n2 2a5\n"
-        loaded = preloaded(path, id_width=4, basis_bits=11)
+        loaded = read_snapshot(path, id_width=4, basis_bits=11)
         assert loaded.items() == state.items()
         assert loaded.free_ids() == tuple(range(3, 16))
         check_invariants(loaded)
@@ -379,7 +340,7 @@ class TestSnapshot:
     def test_load_with_id_holes(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("1 0a\n5 0b\n")
-        loaded = preloaded(path, id_width=3)
+        loaded = read_snapshot(path, id_width=3)
         assert loaded.items() == [(1, 0x0A), (5, 0x0B)]
         assert loaded.free_ids() == (0, 2, 3, 4, 6, 7)
 
@@ -389,6 +350,7 @@ class TestSnapshot:
         "99 0a\n",        # id out of range
         "1 0a\n1 0b\n",   # duplicate id
         "1 0a\n2 0a\n",   # duplicate basis
+        "-1 0a\n",        # negative id
         # line ends that str.splitlines takes and save never writes
         "3 5\u20284 6\n", "3 5\x85\n", "3 5\u2029\n", "3 5\x0c4 6\n", "3 5\x0b\n",
         "3 5\x1c4 6\n", "3 5\x1d\n", "3 5\x1e\n", "3 5\r4 6\n", "3 5\r\r\n",
@@ -397,7 +359,7 @@ class TestSnapshot:
         path = tmp_path / "snap.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SnapshotError):
-            preloaded(path, id_width=3)
+            read_snapshot(path, id_width=3)
 
     @pytest.mark.parametrize("text,message", [
         ("0\n", "line 1: expected '<id> <basis-hex>'"),
@@ -437,9 +399,6 @@ class TestSnapshot:
         with pytest.raises(SnapshotError) as exc:
             read_snapshot(path, id_width=3)
         assert str(exc.value) == message
-        with pytest.raises(SnapshotError) as exc:
-            preloaded(path, id_width=3)
-        assert str(exc.value) == message
 
     # the strict parse reads all that save writes, also with no
     # basis_bits (unpadded hex) and past test_roundtrip's widths
@@ -452,7 +411,9 @@ class TestSnapshot:
             state.learn(basis, now=t)
         path = tmp_path / "snap.txt"
         state.save(path)
-        assert read_snapshot(path, id_width, basis_bits) == state.items()[::-1]
+        loaded = read_snapshot(path, id_width, basis_bits)
+        assert loaded.items() == state.items()
+        assert loaded.free_count == state.free_count
 
     def test_crlf_round_trip(self, tmp_path):
         # a saved snapshot with its "\n" turned into "\r\n" loads the same
@@ -463,8 +424,7 @@ class TestSnapshot:
         state.save(path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert path.read_bytes().count(b"\r\n") == 4
-        assert read_snapshot(path, 4, 11) == state.items()[::-1]
-        loaded = preloaded(path, 4, 11)
+        loaded = read_snapshot(path, 4, 11)
         assert loaded.items() == state.items() and loaded.free_ids() == state.free_ids()
 
     def test_ascii_spaces_and_tabs_separate_fields(self, tmp_path):
@@ -473,29 +433,75 @@ class TestSnapshot:
             state.learn(basis, now=t)
         path = tmp_path / "snap.txt"
         state.save(path)
-        assert read_snapshot(path, 3, 8) == state.items()[::-1]
+        assert read_snapshot(path, 3, 8).items() == state.items()
         spaced = "".join(f"\t{id_} \t{basis:x}  \n \t\n" for id_, basis in state.items())
         path.write_text(spaced)
-        assert read_snapshot(path, 3, 8) == state.items()[::-1]
+        assert read_snapshot(path, 3, 8).items() == state.items()
 
     def test_read_snapshot_pairs_highest_id_first(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text("1 0a\n\n6 0c\n5 0b\n")
-        assert read_snapshot(path, id_width=3) == [(6, 0x0C), (5, 0x0B), (1, 0x0A)]
+        state = read_snapshot(path, id_width=3)
+        assert list(state._entries) == [0x0C, 0x0B, 0x0A]  # touch order
+        assert state.items() == [(1, 0x0A), (5, 0x0B), (6, 0x0C)]
 
     @pytest.mark.parametrize("text", ["0 800\n", "0 -1\n"])
     def test_load_rejects_basis_outside_basis_bits(self, tmp_path, text):
         path = tmp_path / "snap.txt"
         path.write_text(text)
         with pytest.raises(SnapshotError, match="line 1"):
-            preloaded(path, id_width=3, basis_bits=11)
+            read_snapshot(path, id_width=3, basis_bits=11)
 
     def test_load_rejects_non_utf8(self, tmp_path):
         # used to escape as a bare UnicodeDecodeError
         path = tmp_path / "snap.txt"
         path.write_bytes(b"\xff\xfe\x00junk")
         with pytest.raises(SnapshotError, match="snap.txt"):
-            preloaded(path, id_width=3)
+            read_snapshot(path, id_width=3)
+
+
+class TestOnePassLoad:
+    """read_snapshot fills the state in one pass: every entry under its own
+    ID, stamped 0, in touch order highest ID first, the clock at 0 and the
+    free pool the gaps between the IDs. Later learns take the free IDs
+    lowest first, then evict the loaded entries lowest ID first."""
+
+    SHAPES = {
+        "gaps": (3, [(1, 0x0A), (5, 0x0B), (6, 0x0C)]),
+        "gaps at both ends": (4, [(3, 7), (4, 1), (9, 0), (12, 0x7FF)]),
+        "full ID space": (2, [(0, 3), (1, 2), (2, 1), (3, 0)]),
+        "one entry at id 0": (3, [(0, 9)]),
+        "one entry at the top id": (3, [(7, 9)]),
+        "empty file": (3, []),
+        "random ids": (6, list(zip(sorted(random.Random(6).sample(range(64), 23)),
+                                   random.Random(7).sample(range(2048), 23)))),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_model(self, tmp_path, shape):
+        id_width, pairs = self.SHAPES[shape]
+        path = tmp_path / "snap.txt"
+        text = "".join(f"{id_} {basis:x}\n" for id_, basis in reversed(pairs))
+        path.write_text(text)
+        state = read_snapshot(path, id_width, basis_bits=12)
+        assert state.items()[::-1] == snapshot_model(text, id_width, 12)
+        capacity = 1 << id_width
+        taken = [id_ for id_, _ in pairs]
+        free = [id_ for id_ in range(capacity) if id_ not in taken]
+        assert state.items() == pairs
+        assert state.free_ids() == tuple(free) and state.free_count == len(free)
+        assert [state.entry(basis) for _, basis in pairs] == [(id_, 0) for id_ in taken]
+        assert list(state._entries) == [basis for _, basis in reversed(pairs)]
+        assert state._clock == 0
+        check_invariants(state)
+        # capacity + 1 learns: the free IDs, then every loaded entry as a
+        # victim, then the first of these learns, the oldest left
+        new = [0x800 + t for t in range(capacity + 1)]
+        outcomes = [state.learn(basis, now=t + 1) for t, basis in enumerate(new)]
+        assert outcomes == ([(id_, None) for id_ in free] + pairs
+                            + [((free + taken)[0], new[0])])
+        assert state._clock == capacity + 1
+        check_invariants(state)
 
 
 def test_conservation_under_many_learns():
@@ -515,7 +521,7 @@ def test_memory_follows_the_data_not_the_id_space(tmp_path):
         state = DictionaryState(id_width=24)
         for t in range(5):
             state.learn(100 + t, now=t)
-        loaded = preloaded(path, id_width=24)
+        loaded = read_snapshot(path, id_width=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,7 +536,7 @@ def test_memory_follows_the_data_not_the_id_space(tmp_path):
 def test_free_pool_drains_in_order_around_holes(tmp_path):
     path = tmp_path / "snap.txt"
     path.write_text("0 1\n2 2\n3 3\n6 4\n")
-    state = preloaded(path, id_width=3)
+    state = read_snapshot(path, id_width=3)
     assert state.free_ids() == (1, 4, 5, 7)
     assert [state.learn(10 + t, now=t).assigned for t in range(4)] == [1, 4, 5, 7]
     assert state.free_ids() == () and state.free_count == 0

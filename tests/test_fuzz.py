@@ -10,14 +10,12 @@ import struct
 import pytest
 
 from gdpipe.cli import main
-from gdpipe.dictionary import DictionaryState, SnapshotError, read_snapshot
+from gdpipe.dictionary import SnapshotError, read_snapshot
 from gdpipe.gdcore import GdError
 from gdpipe.pipeline import (
     RAW,
     SYN_BASIS,
     SYN_ID,
-    ControlPlane,
-    Counters,
     PipelineConfig,
     parse_frame,
     raw_nbytes,
@@ -37,7 +35,7 @@ from gdpipe.traces import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import snapshot_by_learning  # noqa: E402
+from oracles import snapshot_model  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None)
 SIZES = {RAW: raw_nbytes, SYN_BASIS: syn_basis_nbytes, SYN_ID: syn_id_nbytes}
@@ -113,11 +111,9 @@ snapshot_line = st.builds("{} {}".format, st.integers(-2, 40),
 def test_snapshot_load(scratch, content, id_width, basis_bits):
     scratch.write_bytes(content)
     try:
-        pairs = read_snapshot(scratch, id_width, basis_bits)
+        state = read_snapshot(scratch, id_width, basis_bits)
     except GdError:
         return
-    state = DictionaryState(id_width, basis_bits)
-    ControlPlane(state, Counters(), PipelineConfig(id_width=id_width)).preload(pairs)
     assert state.free_count + len(state.items()) == state.capacity
 
 
@@ -125,14 +121,14 @@ def test_snapshot_load(scratch, content, id_width, basis_bits):
 @given(lines=st.lists(snapshot_line, max_size=8), id_width=st.integers(1, 6),
        basis_bits=st.sampled_from([None, 11]))
 def test_read_snapshot_fails_like_learning_each_line(scratch, lines, id_width, basis_bits):
-    # duplicate IDs and bases included: preload alone would skip a basis
+    # duplicate IDs and bases included: each fails as learning it would
     text = "\n".join(lines)
     scratch.write_text(text)
     try:
-        got = read_snapshot(scratch, id_width, basis_bits)
+        got = read_snapshot(scratch, id_width, basis_bits).items()[::-1]
     except SnapshotError as exc:
         got = str(exc)
-    assert got == snapshot_by_learning(text, id_width, basis_bits)
+    assert got == snapshot_model(text, id_width, basis_bits)
 
 
 # -- the CLI's flags, end to end --------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gdpipe import pipeline
-from gdpipe.dictionary import DictionaryState
+from gdpipe.dictionary import DictionaryState, read_snapshot
 from gdpipe.gdcore import (
     GENERATOR_REGISTRY,
     BitChunk,
@@ -877,6 +877,14 @@ def _scalar_bases(trace, cfg):
     return list(dict.fromkeys(_chunk_bases(trace, cfg)))
 
 
+def _table(cfg, bases):
+    """A fresh dictionary for cfg holding `bases`: a static table to
+    start a replay from."""
+    state = pipeline._dictionary(cfg)
+    state.preload(bases)
+    return state
+
+
 @functools.cache
 def _scalar_run(mode):
     """The reference replay of a window case, computed once per mode."""
@@ -937,7 +945,7 @@ class TestWindowedReplay:
 
         monkeypatch.setattr(DictionaryState, "lookup_basis", miss_on_id_1)
         with pytest.raises(InvariantViolation, match=FOREIGN_ID):
-            pipeline.replay(trace, CFG8, 1e-6, preload=bases)
+            pipeline.replay(trace, CFG8, 1e-6, state=_table(CFG8, bases))
         seen = _chunk_bases(trace, CFG8)
         seen = seen[:seen.index(bases[1]) + 1]
         assert dict_calls["lookup_basis"] == sum(
@@ -1222,7 +1230,7 @@ class TestRefreshPassesStoredKeys:
         if path == "replay_static":
             counters = replay_static(trace, cfg, 1e-6)[0]
         else:
-            counters = replay(trace, cfg, 1e-6, preload=compute_bases(trace, cfg))[0]
+            counters = replay(trace, cfg, 1e-6, state=_table(cfg, compute_bases(trace, cfg)))[0]
         assert counters.out_syn_id == len(stored) == 98304
         assert all(stored)
 
@@ -1379,36 +1387,53 @@ class TestHashedDedup:
         assert len(set(table.tolist())) == len(table)
 
 
-class TestPreloadPairs:
-    """An (id, basis) preload keeps its ID, in both engines."""
+class TestStartFromSnapshot:
+    """A snapshot loads as the dictionary that either engine starts from,
+    every entry under its own ID; the two must then agree."""
 
-    def test_keeps_snapshot_ids(self):
-        spec = TraceSpec(seed=8, chunk_count=300, chunk_bits=256,
-                         distinct_bases=4, codeword_prob=0.3)
-        trace = gen_synthetic(spec)
-        cfg = PipelineConfig(m=8, learning_delay=5e-6)
-        bases = compute_bases(trace, cfg)
-        pairs = list(zip((100, 200, 300), bases))
-        holder = []
-        fast = run_pipeline(trace, cfg, 1e-6, preload=pairs, state_out=holder)
-        pipe = Pipeline(cfg)
-        assert pipe.preload(pairs) == 3
-        slow = pipe.replay(trace, 1e-6)
-        assert holder[0].items() == pipe.state.items()
-        assert pipe.state.items()[1:] == pairs
-        assert holder[0].free_ids() == pipe.state.free_ids()
-        assert [holder[0].entry(b) for b in bases] == [pipe.state.entry(b) for b in bases]
-        assert fast[1] == slow[1] and fast[2] == slow[2]
-        assert fast[0].payload == slow[0].payload == trace.payload
-        # the fourth basis is learned at the lowest free ID
-        assert pipe.state.entry(bases[3])[0] == 0
+    # window 0 (chunks 0-7) hits only snapshot bases, so it is eventless;
+    # then 9 new bases over the 4 free IDs of 8 evict
+    @pytest.mark.parametrize("gap, delay", [(1e-6, 2e-6), (0.0, 0.0)])
+    def test_replay_equals_scalar(self, tmp_path, monkeypatch, dict_calls, gap, delay):
+        monkeypatch.setattr(pipeline, "WINDOW_BYTES", 8 * 32)
+        trace = _pattern_trace("ABCABCAB" + "DEFGHIJKL" * 3 + "ABCA" * 4)
+        cfg = PipelineConfig(m=8, id_width=3, learning_delay=delay)
+        bases = _scalar_bases(trace, cfg) + [1]  # 1: a basis the trace lacks
+        a, b, c = bases[:3]
+        path = tmp_path / "snap.txt"
+        path.write_text(f"6 {a:x}\n2 {b:x}\n7 1\n5 {c:x}\n")
+        pipe = Pipeline(cfg, state=read_snapshot(path, 3, 247))
+        out, want, want_sizes = pipe.replay(trace, gap)
+        dict_calls.update(dict.fromkeys(dict_calls, 0))
+        got, sizes, state = replay(trace, cfg, gap, state=read_snapshot(path, 3, 247))
+        assert (got, sizes) == (want, want_sizes)
+        assert out.payload == trace.payload
+        assert state.items() == pipe.state.items()
+        assert state.free_ids() == pipe.state.free_ids()
+        assert [state.entry(x) for x in bases] == [pipe.state.entry(x) for x in bases]
+        assert list(state._entries.items()) == list(pipe.state._entries.items())
+        assert state._clock == pipe.state._clock
+        got.verify()
+        assert got.evictions > 0
+        # an eventless window resolves each hit basis once, not per chunk
+        assert dict_calls["lookup_basis"] < got.out_syn_id
 
-    def test_id_in_use_is_refused(self):
-        pipe = Pipeline(CFG8)
-        pipe.preload([(5, 1)])
-        with pytest.raises(ValueError, match="not a free id"):
-            pipe.preload([(5, 2)])
-        assert pipe.preload([(6, 1)]) == 0  # a mapped basis is skipped
+    def test_preload_skips_mapped_bases(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("5 1\n")
+        pipe = Pipeline(CFG8, state=read_snapshot(path, 15, 247))
+        assert pipe.preload([1]) == 0  # a mapped basis is skipped
+        assert pipe.preload([2, 1, 2]) == 1
+        assert pipe.state.items() == [(0, 2), (5, 1)]
+
+    @pytest.mark.parametrize("id_width, basis_bits", [(14, 247), (15, 246), (15, None)])
+    def test_state_of_other_widths(self, id_width, basis_bits):
+        trace = gen_synthetic(TraceSpec(seed=1, chunk_count=4))
+        state = DictionaryState(id_width, basis_bits)
+        with pytest.raises(LengthMismatch, match="config needs 15, 247"):
+            Pipeline(CFG8, state=state)
+        with pytest.raises(LengthMismatch, match="config needs 15, 247"):
+            replay(trace, CFG8, 1e-6, state=state)
 
 
 class TestEvictionScaling:
@@ -1590,7 +1615,8 @@ def _transport_case(kind):
         trace = gen_synthetic(TraceSpec(seed=23, chunk_count=1500, chunk_bits=256,
                                         distinct_bases=12))
         cfg = PipelineConfig(m=8, learning_delay=math.inf, alignment_padding=True)
-        return trace, cfg, functools.partial(replay, preload=compute_bases(trace, cfg)[::2])
+        half = compute_bases(trace, cfg)[::2]
+        return trace, cfg, lambda *args: replay(*args, state=_table(cfg, half))
     # 40 bases: they fit 6-bit IDs; 4-bit IDs make the static replay start
     # again from compute_bases and the dynamic one evict
     spec = TraceSpec(seed=22, chunk_count=3000, chunk_bits=32, distinct_bases=40,
@@ -1665,9 +1691,9 @@ class TestTransport:
         trace = gen_synthetic(TraceSpec(seed=3, chunk_count=chunks, chunk_bits=256,
                                         distinct_bases=4))
         cfg = PipelineConfig(m=8, learning_delay=delay)
-        table = compute_bases(trace, cfg)[:1] if preload else None
+        table = _table(cfg, compute_bases(trace, cfg)[:1] if preload else [])
         with _second_thread() if thread else contextlib.nullcontext():
-            assert replay(trace, cfg, 1e-6, preload=table)[0].restored_raw == chunks
+            assert replay(trace, cfg, 1e-6, state=table)[0].restored_raw == chunks
         assert len(forks) == forked
         _no_child_left()
 
@@ -1690,7 +1716,7 @@ class TestTransport:
         monkeypatch.setattr(pipeline, "decode_batch", flip_in_window_2)
         with _second_thread() if thread else contextlib.nullcontext():
             with pytest.raises(InvariantViolation) as exc:
-                replay(trace, CFG8, 1e-6, preload=bases)
+                replay(trace, CFG8, 1e-6, state=_table(CFG8, bases))
         assert str(exc.value) == "chunks 200..299 did not restore bit-identically"
         # raised after that window's dictionary step, before the next one's
         assert dict_calls["lookup_id"] == 300
@@ -1706,7 +1732,7 @@ class TestTransport:
         with TraceFile(path) as f:
             os.truncate(path, 16 + 450 * 32)
             with pytest.raises(TruncatedFile) as exc:
-                replay(f, CFG8, 1e-6, preload=bases)
+                replay(f, CFG8, 1e-6, state=_table(CFG8, bases))
         assert str(exc.value) == f"{path}: expected 32000 payload bytes, found 14400"
         assert dict_calls["lookup_id"] == 400  # the four whole windows
         assert len(forks) == 1
@@ -1723,7 +1749,7 @@ class TestTransport:
         if end == "dictionary raise":
             monkeypatch.setattr(DictionaryState, "lookup_basis", lambda self, id_: -1)
             with pytest.raises(InvariantViolation, match=FOREIGN_ID):
-                replay(trace, cfg, 1e-6, preload=compute_bases(trace, cfg))
+                replay(trace, cfg, 1e-6, state=_table(cfg, compute_bases(trace, cfg)))
         else:
             assert replay_static(trace, cfg, 1e-6)[0].restored_raw == 40_000
         assert len(forks) == (2 if end == "static fallback" else 1)

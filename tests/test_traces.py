@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import struct
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,18 @@ class TestGenSynthetic:
     def test_empty_trace(self):
         trace = gen_synthetic(TraceSpec(seed=0, chunk_count=0, chunk_bits=256))
         assert trace.chunk_count == 0 and trace.payload == b""
+
+    def test_empty_trace_draws_no_bases(self):
+        # a million bases used to be drawn, 164 MB at peak, for no chunk
+        spec = TraceSpec(seed=0, chunk_count=0, distinct_bases=10**6)
+        tracemalloc.start()
+        try:
+            trace = gen_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.chunk_count == 0 and trace.payload == b""
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("name", list(_GENERATOR_DIGESTS))
     def test_bytes_match_the_scalar_generator(self, name):
